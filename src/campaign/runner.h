@@ -18,7 +18,7 @@ struct CampaignOptions {
   // Workers for invariant mining and the per-scenario run fan-out
   // (<= 0: one per hardware thread; 1: serial).
   int threads = 0;
-  bool use_assoc_cache = true;
+  bool use_assoc_cache = false;  // opt-in, see InvarNetXConfig
   // Ranked causes retained per diagnosis; precision@k scores against it.
   size_t top_k = 5;
 };

@@ -51,11 +51,11 @@ Result<size_t> NodeIndexOf(const telemetry::RunTrace& trace,
 
 // Applies the mining-performance knobs shared by train / add-signature /
 // diagnose: --threads N (0 = one worker per hardware thread) and
-// --assoc-cache 0|1 (per-pair score memoization, on by default).
+// --assoc-cache 0|1 (per-pair score memoization, off by default).
 void ApplyMiningOptions(const CommandLine& args,
                         core::InvarNetXConfig* config) {
   config->num_threads = std::atoi(args.Get("threads", "0").c_str());
-  config->use_association_cache = args.Get("assoc-cache", "1") != "0";
+  config->use_association_cache = args.Get("assoc-cache", "0") != "0";
 }
 
 // Loads every positional argument as a trace; they must share a workload.
@@ -484,8 +484,10 @@ Status RunStats(const CommandLine& args, std::string* out) {
   ApplyMiningOptions(args, &config.pipeline);
   // The self-exercise should light up the thread-pool metrics even on a
   // single-core machine, where `--threads 0` would resolve to the serial
-  // path; default to two workers unless the user chose explicitly.
+  // path; default to two workers unless the user chose explicitly. It also
+  // exercises the (opt-in) score cache unless told otherwise.
   if (!args.Has("threads")) config.pipeline.num_threads = 2;
+  if (!args.Has("assoc-cache")) config.pipeline.use_association_cache = true;
 
   Result<std::vector<telemetry::RunTrace>> normal = core::SimulateNormalRuns(
       config.workload, config.normal_runs, config.seed,
@@ -554,7 +556,7 @@ Status RunCampaign(const CommandLine& args, std::string* out) {
 
   campaign::CampaignOptions options;
   options.threads = std::atoi(args.Get("threads", "0").c_str());
-  options.use_assoc_cache = args.Get("assoc-cache", "1") != "0";
+  options.use_assoc_cache = args.Get("assoc-cache", "0") != "0";
   const int top_k = std::atoi(args.Get("top-k", "5").c_str());
   if (top_k < 1) return Status::InvalidArgument("bad --top-k");
   options.top_k = static_cast<size_t>(top_k);
@@ -976,7 +978,7 @@ std::string Usage() {
       "campaign):\n"
       "  --threads N       worker threads for invariant mining\n"
       "                    (0 = one per hardware thread; 1 = serial)\n"
-      "  --assoc-cache 0|1 per-pair score memoization (default 1)\n";
+      "  --assoc-cache 0|1 per-pair score memoization (default 0)\n";
 }
 
 Status RunCommand(const CommandLine& args, std::string* out) {

@@ -72,7 +72,9 @@ struct AssociationOptions {
   // Workers for the pair fan-out. <= 0: one per hardware thread;
   // 1: plain serial loop in the caller.
   int num_threads = 0;
-  bool use_cache = true;
+  // Off by default: real traffic never repeats a window, so the cache
+  // rarely hits and only grows (every matrix inserts its 325 pairs).
+  bool use_cache = false;
   // Oracle for the incremental path: when a prior record is supplied, also
   // run the cold full recompute and fail with Internal if the two matrices
   // are not byte-identical. Costs the full compute - CI/debug only. The

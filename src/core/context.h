@@ -1,6 +1,8 @@
 #ifndef INVARNETX_CORE_CONTEXT_H_
 #define INVARNETX_CORE_CONTEXT_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <tuple>
 
@@ -25,6 +27,14 @@ struct OperationContext {
   }
   friend bool operator<(const OperationContext& a, const OperationContext& b) {
     return std::tie(a.workload, a.node_ip) < std::tie(b.workload, b.node_ip);
+  }
+};
+
+// Hash for unordered containers keyed by OperationContext.
+struct OperationContextHash {
+  size_t operator()(const OperationContext& context) const {
+    return std::hash<std::string>()(context.node_ip) * 31u +
+           static_cast<size_t>(context.workload);
   }
 };
 

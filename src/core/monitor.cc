@@ -7,8 +7,8 @@ Status OnlineMonitor::StartJob(const OperationContext& context) {
       pipeline_->GetContext(context);
   if (!model.ok()) return model.status();
   context_ = context;
-  // Pin the epoch snapshot first; the detector references the snapshot's
-  // performance model, which the shared_ptr keeps alive across retrains.
+  // Pin the epoch snapshot: the detector copies its ARIMA coefficients and
+  // threshold, and Diagnose infers against it across retrains.
   model_ = std::move(model.value());
   detector_.emplace(model_->perf,
                     pipeline_->config().threshold_rule,

@@ -50,10 +50,12 @@ struct InvarNetXConfig {
   // hardware thread; 1: serial). A runtime knob, not persisted with the
   // store; results are bit-identical for every value.
   int num_threads = 0;
-  // Memoize per-pair association scores in the shared score cache, so the
-  // N-run stability filter and repeated diagnoses of the same traces skip
-  // the MIC dynamic program.
-  bool use_association_cache = true;
+  // Memoize per-pair association scores in the shared score cache, so
+  // repeated diagnoses of the same traces skip the MIC dynamic program.
+  // Off by default: served windows never repeat, so every diagnosis would
+  // insert 325 entries that never hit (retrains reuse scores through the
+  // MiningSnapshot instead).
+  bool use_association_cache = false;
   // Run the incremental-mining byte-identity oracle on every retrain that
   // uses a prior (see AssociationOptions::verify_incremental). CI/debug
   // only - it costs the cold recompute the incremental path exists to skip.

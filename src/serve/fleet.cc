@@ -17,8 +17,22 @@ namespace invarnetx::serve {
 namespace {
 
 // One window-slab row: [cpi, metric 0 .. metric 25] per tick slot, the same
-// layout core::RingWindow uses.
+// row core::RingWindow stores.
 constexpr size_t kRowDoubles = static_cast<size_t>(telemetry::kNumMetrics) + 1;
+
+// Monitors per window-slab block. A block stores its windows slot-major:
+// slot s holds the rows of the block's kSlabBlock monitors back to back,
+// so a tick's writes for neighbouring monitors (which share a write slot
+// when they were armed together) land in one contiguous stretch instead of
+// one row per window-sized stride.
+constexpr size_t kSlabBlock = 16;
+
+// Offset of shard-local monitor `local`'s row for window slot `slot`.
+size_t SlabRow(size_t capacity, uint32_t local, uint32_t slot) {
+  const size_t block = local / kSlabBlock;
+  const size_t lane = local % kSlabBlock;
+  return ((block * capacity + slot) * kSlabBlock + lane) * kRowDoubles;
+}
 
 // Stack-local completion latch for the per-tick drain fan-out. Notify runs
 // under the lock: the waiter cannot leave Wait() (and pop the latch off its
@@ -45,13 +59,27 @@ MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
   if (config_.window_capacity == 0) config_.window_capacity = 1;
   if (config_.storm_window_ticks == 0) config_.storm_window_ticks = 1;
   if (config_.watchdog_window_ticks == 0) config_.watchdog_window_ticks = 1;
+  storm_window_.resize(config_.storm_window_ticks, 0);
+  tick_latencies_.resize(config_.watchdog_window_ticks, 0.0);
+  latency_scratch_.reserve(config_.watchdog_window_ticks);
   consecutive_required_ = pipeline_->config().consecutive_required;
   effective_threads_ = EffectiveThreadCount(config_.threads);
 
   // Resolve the shard count once; it is fixed for the fleet's lifetime (a
-  // monitor's shard is part of its handle assignment).
+  // monitor's shard is part of its handle assignment). An auto count never
+  // exceeds one shard per expected slab block: a shard's first monitor
+  // allocates a whole block, so a shard of one monitor would hold 16
+  // windows.
   int shards = config_.shards;
-  if (shards < 1) shards = EffectiveThreadCount(0);
+  if (shards < 1) {
+    shards = EffectiveThreadCount(0);
+    if (config_.expected_monitors > 0) {
+      const size_t blocks =
+          (config_.expected_monitors + kSlabBlock - 1) / kSlabBlock;
+      shards = static_cast<int>(
+          std::min(static_cast<size_t>(shards), blocks));
+    }
+  }
   shards = std::min(shards, kMaxThreads);
   config_.shards = shards;
 
@@ -62,6 +90,18 @@ MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
           ? 0
           : config_.expected_monitors / static_cast<size_t>(shards) + 1;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Shared();
+  active_monitors_gauge_ = &registry.GetGauge("serve.active_monitors");
+  alarms_active_gauge_ = &registry.GetGauge("serve.alarms_active");
+  diagnosis_backlog_gauge_ = &registry.GetGauge("serve.diagnosis_backlog");
+  ingest_p99_gauge_ = &registry.GetGauge("serve.ingest_p99_seconds");
+  ticks_ingested_counter_ = &registry.GetCounter("serve.ticks_ingested");
+  samples_ingested_counter_ = &registry.GetCounter("serve.samples_ingested");
+  alarms_raised_counter_ = &registry.GetCounter("serve.alarms_raised");
+  diagnoses_completed_counter_ =
+      &registry.GetCounter("serve.diagnoses_completed");
+  ingest_seconds_histogram_ = &registry.GetHistogram("serve.ingest_seconds");
+  queue_depth_histogram_ =
+      &registry.GetHistogram("serve.diagnosis_queue_depth");
   shards_.reserve(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>(initial_ring);
@@ -73,23 +113,24 @@ MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
         &registry.GetCounter("serve.ring_overflow", labels);
     if (per_shard_hint > 0) {
       ShardHot& hot = shard->hot;
+      hot.predictor.reserve(per_shard_hint);
       hot.last_residual.reserve(per_shard_hint);
       hot.threshold.reserve(per_shard_hint);
       hot.debounce.reserve(per_shard_hint);
       hot.alarm.reserve(per_shard_hint);
       hot.first_alarm_tick.reserve(per_shard_hint);
       hot.window_total.reserve(per_shard_hint);
-      hot.window_size.reserve(per_shard_hint);
       hot.window_head.reserve(per_shard_hint);
       hot.epoch.reserve(per_shard_hint);
-      hot.predictor.reserve(per_shard_hint);
-      hot.window_slab.reserve(per_shard_hint * config_.window_capacity *
+      const size_t blocks = (per_shard_hint + kSlabBlock - 1) / kSlabBlock;
+      hot.window_slab.reserve(blocks * kSlabBlock * config_.window_capacity *
                               kRowDoubles);
       shard->members.reserve(per_shard_hint);
     }
     shards_.push_back(std::move(shard));
   }
   if (config_.expected_monitors > 0) {
+    index_.reserve(config_.expected_monitors);
     slots_.reserve(config_.expected_monitors);
     shard_of_.reserve(config_.expected_monitors);
     local_of_.reserve(config_.expected_monitors);
@@ -98,7 +139,6 @@ MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
   }
   shard_count_scratch_.resize(static_cast<size_t>(shards), 0);
   shard_pushed_scratch_.resize(static_cast<size_t>(shards), 0);
-  shard_window_overflow_scratch_.resize(static_cast<size_t>(shards), 0);
 
   if (effective_threads_ > 1) {
     ThreadPool::Shared().EnsureSize(effective_threads_);
@@ -124,7 +164,8 @@ Result<MonitorHandle> MonitorFleet::StartJob(
   auto [it, inserted] = index_.try_emplace(context, kInvalidMonitor);
   if (inserted) {
     // First job for this context: assign the next dense handle and its
-    // shard, and grow that shard's SoA columns + window slab by one monitor.
+    // shard, and grow that shard's SoA columns by one monitor (and its
+    // window slab by a block when the monitor opens one).
     const MonitorHandle handle = static_cast<MonitorHandle>(slots_.size());
     const uint32_t shard_index =
         static_cast<uint32_t>(handle) % static_cast<uint32_t>(shards_.size());
@@ -132,29 +173,27 @@ Result<MonitorHandle> MonitorFleet::StartJob(
     const uint32_t local = static_cast<uint32_t>(shard.members.size());
     it->second = handle;
 
-    ColdSlot slot;
-    slot.context = context;
-    slot.shard = static_cast<int>(shard_index);
-    slot.local = local;
-    slots_.push_back(std::move(slot));
+    slots_.push_back(ColdSlot{context, nullptr});
     shard_of_.push_back(shard_index);
     local_of_.push_back(local);
     job_active_.push_back(0);
     seen_stamp_.push_back(0);
 
     ShardHot& hot = shard.hot;
+    hot.predictor.emplace_back(ts::ArimaModel());  // re-pinned below
     hot.last_residual.push_back(0.0);
     hot.threshold.push_back(0.0);
     hot.debounce.push_back(0);
-    hot.alarm.push_back(0);
+    hot.alarm.push_back(kAlarmNone);
     hot.first_alarm_tick.push_back(-1);
     hot.window_total.push_back(0);
-    hot.window_size.push_back(0);
     hot.window_head.push_back(0);
     hot.epoch.push_back(0);
-    hot.predictor.emplace_back(ts::ArimaModel());  // re-pinned below
-    hot.window_slab.resize(hot.window_slab.size() +
-                           config_.window_capacity * kRowDoubles);
+    if (local % kSlabBlock == 0) {
+      hot.window_slab.resize(hot.window_slab.size() +
+                             kSlabBlock * config_.window_capacity *
+                                 kRowDoubles);
+    }
     shard.members.push_back(handle);
 
     // Auto ring capacity tracks the shard's population, so a well-formed
@@ -167,34 +206,30 @@ Result<MonitorHandle> MonitorFleet::StartJob(
   }
 
   const MonitorHandle handle = it->second;
-  ColdSlot& cold = slots_[static_cast<size_t>(handle)];
-  Shard& shard = *shards_[static_cast<size_t>(cold.shard)];
-  ShardHot& hot = shard.hot;
-  const uint32_t local = cold.local;
+  const size_t h = static_cast<size_t>(handle);
+  ColdSlot& cold = slots_[h];
+  ShardHot& hot = shards_[shard_of_[h]]->hot;
+  const uint32_t local = local_of_[h];
 
   // Pin the epoch snapshot and cache the scalar alarm threshold; the
   // per-sample path then compares against one double instead of re-deriving
   // the rule from the model.
   cold.model = std::move(model.value());
-  cold.diagnosis_dispatched = false;
-  cold.overflow_journaled = false;
-  const core::ThresholdRule rule = pipeline_->config().threshold_rule;
-  hot.threshold[local] = rule == core::ThresholdRule::kMaxMin
-                             ? cold.model->perf.residual_max()
-                             : cold.model->perf.Threshold(rule);
+  hot.threshold[local] =
+      cold.model->perf.Threshold(pipeline_->config().threshold_rule);
   hot.epoch[local] = cold.model->epoch;
   hot.predictor[local] = ts::ArimaPredictor(cold.model->perf.arima());
   hot.last_residual[local] = 0.0;
   hot.debounce[local] = 0;
-  if (hot.alarm[local] != 0) --alarms_latched_;
-  hot.alarm[local] = 0;
+  if (hot.alarm[local] != kAlarmNone) --alarms_latched_;
+  hot.alarm[local] = kAlarmNone;
   hot.first_alarm_tick[local] = -1;
   hot.window_total[local] = 0;
-  hot.window_size[local] = 0;
   hot.window_head[local] = 0;
+  interesting_.erase(handle);
 
-  if (job_active_[static_cast<size_t>(handle)] == 0) {
-    job_active_[static_cast<size_t>(handle)] = 1;
+  if (job_active_[h] == 0) {
+    job_active_[h] = 1;
     ++active_jobs_;
   }
   // New job era: the next backpressure reject per shard is journal-worthy
@@ -208,32 +243,27 @@ Result<MonitorHandle> MonitorFleet::StartJob(
 
 void MonitorFleet::ObserveOne(Shard& shard, uint32_t local,
                               const TickSample& sample) {
-  // Exactly AnomalyDetector::Observe + RingWindow::Push, run against the
-  // shard's SoA columns with the threshold scalar cached at StartJob.
   ShardHot& hot = shard.hot;
-  ts::ArimaPredictor& predictor = hot.predictor[local];
-  const bool ready = predictor.Ready();
-  const double raw = predictor.Observe(sample.cpi);
-  const double residual = ready ? raw : 0.0;
-  hot.last_residual[local] = residual;
-  const bool flag = ready && residual > hot.threshold[local];
-  const int32_t consecutive = flag ? hot.debounce[local] + 1 : 0;
-  hot.debounce[local] = consecutive;
+  const core::DetectionStep step =
+      core::DetectStep(hot.predictor[local], hot.threshold[local],
+                       hot.debounce[local], consecutive_required_, sample.cpi);
+  hot.last_residual[local] = step.residual;
+  hot.debounce[local] = step.debounce;
 
   const size_t capacity = config_.window_capacity;
   const uint32_t head = hot.window_head[local];
-  double* row =
-      hot.window_slab.data() +
-      (static_cast<size_t>(local) * capacity + head) * kRowDoubles;
+  double* row = hot.window_slab.data() + SlabRow(capacity, local, head);
   row[0] = sample.cpi;
   std::memcpy(row + 1, sample.metrics.data(),
               sizeof(double) * static_cast<size_t>(telemetry::kNumMetrics));
   hot.window_head[local] = head + 1 == capacity ? 0 : head + 1;
   const int64_t total = ++hot.window_total[local];
-  if (hot.window_size[local] < capacity) ++hot.window_size[local];
+  // Overwrites are counted per shard; the accounting pass journals the
+  // job's first one (total == capacity + 1).
+  if (total > static_cast<int64_t>(capacity)) ++shard.tick_overflows;
 
-  if (consecutive >= consecutive_required_ && hot.alarm[local] == 0) {
-    hot.alarm[local] = 1;
+  if (step.alarm && hot.alarm[local] == kAlarmNone) {
+    hot.alarm[local] = kAlarmNew;
     // Absolute job ticks, so the report still names the right tick after
     // the window has evicted it.
     hot.first_alarm_tick[local] = static_cast<int32_t>(total) - 1;
@@ -300,6 +330,7 @@ Result<TickSummary> MonitorFleet::IngestTick(
   int nonempty = 0;
   int first_nonempty = -1;
   for (size_t s = 0; s < num_shards; ++s) {
+    shards_[s]->tick_overflows = 0;
     if (shard_count_scratch_[s] == 0) continue;
     ++nonempty;
     if (first_nonempty < 0) first_nonempty = static_cast<int>(s);
@@ -387,39 +418,32 @@ Result<TickSummary> MonitorFleet::IngestTick(
 
   // Phase 5 - accounting and alarm handling, serially in batch order, so
   // diagnosis dispatch order is deterministic for every shard and thread
-  // count.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Shared();
-  std::fill(shard_window_overflow_scratch_.begin(),
-            shard_window_overflow_scratch_.end(), 0u);
+  // count. The walk reads hot columns only.
+  const int64_t first_overflow =
+      static_cast<int64_t>(config_.window_capacity) + 1;
   for (size_t i = 0; i < samples.size(); ++i) {
     if (accepted_scratch_[i] == 0) continue;
     const MonitorHandle handle = handles_scratch_[i];
-    ColdSlot& cold = slots_[static_cast<size_t>(handle)];
-    Shard& shard = *shards_[static_cast<size_t>(cold.shard)];
-    ShardHot& hot = shard.hot;
-    const uint32_t local = cold.local;
-    ++summary.samples;
-    if (hot.window_total[local] >
-        static_cast<int64_t>(config_.window_capacity)) {
-      ++shard_window_overflow_scratch_[static_cast<size_t>(cold.shard)];
-      ++window_overflows_;
-      if (!cold.overflow_journaled) {
-        cold.overflow_journaled = true;
-        obs::EventJournal::Shared().Record(
-            obs::EventKind::kRingOverflow, "window overwriting oldest ticks",
-            {{"context", cold.context.ToString()},
-             {"capacity", static_cast<uint64_t>(config_.window_capacity)}});
-      }
+    const size_t h = static_cast<size_t>(handle);
+    ShardHot& hot = shards_[shard_of_[h]]->hot;
+    const uint32_t local = local_of_[h];
+    if (hot.window_total[local] == first_overflow) {
+      interesting_.insert(handle);
+      obs::EventJournal::Shared().Record(
+          obs::EventKind::kRingOverflow, "window overwriting oldest ticks",
+          {{"context", slots_[h].context.ToString()},
+           {"capacity", static_cast<uint64_t>(config_.window_capacity)}});
     }
-    if (hot.alarm[local] == 0 || cold.diagnosis_dispatched) continue;
+    if (hot.alarm[local] != kAlarmNew) continue;
+    hot.alarm[local] = kAlarmAccounted;
+    interesting_.insert(handle);
     ++summary.new_alarms;
-    cold.diagnosis_dispatched = true;
     ++alarms_raised_;
     ++alarms_latched_;
-    registry.GetCounter("serve.alarms_raised").Increment();
+    alarms_raised_counter_->Increment();
     obs::EventJournal::Shared().Record(
         obs::EventKind::kAlarm, "debounced alarm latched",
-        {{"context", cold.context.ToString()},
+        {{"context", slots_[h].context.ToString()},
          {"tick", hot.first_alarm_tick[local]}});
     if (config_.diagnose_on_alarm) DispatchDiagnosis(handle);
   }
@@ -433,11 +457,12 @@ Result<TickSummary> MonitorFleet::IngestTick(
     if (count == 0) continue;
     const uint32_t accepted = static_cast<uint32_t>(
         std::min<size_t>(count, shard.ring.capacity()));
+    summary.samples += static_cast<int>(accepted);
     shard.samples += accepted;
     shard.samples_counter->Increment(accepted);
-    if (shard_window_overflow_scratch_[s] > 0) {
-      shard.window_overflow_counter->Increment(
-          shard_window_overflow_scratch_[s]);
+    if (shard.tick_overflows > 0) {
+      window_overflows_ += shard.tick_overflows;
+      shard.window_overflow_counter->Increment(shard.tick_overflows);
     }
     const uint32_t rejected = count - accepted;
     if (rejected > 0) {
@@ -455,14 +480,13 @@ Result<TickSummary> MonitorFleet::IngestTick(
     }
   }
 
-  registry.GetCounter("serve.ticks_ingested").Increment();
-  registry.GetCounter("serve.samples_ingested")
-      .Increment(static_cast<uint64_t>(summary.samples));
+  ticks_ingested_counter_->Increment();
+  samples_ingested_counter_->Increment(static_cast<uint64_t>(summary.samples));
   ++ticks_ingested_;
   samples_ingested_ += static_cast<uint64_t>(summary.samples);
   PublishGauges();
   ingest_span.End();
-  registry.GetHistogram("serve.ingest_seconds").Record(ingest_span.Seconds());
+  ingest_seconds_histogram_->Record(ingest_span.Seconds());
   RunWatchdogs(summary.new_alarms, ingest_span.Seconds());
   RefreshStatusCache();
   return summary;
@@ -470,25 +494,23 @@ Result<TickSummary> MonitorFleet::IngestTick(
 
 telemetry::NodeTrace MonitorFleet::MaterializeWindow(
     const Shard& shard, uint32_t local, const std::string& ip) const {
-  // Same layout and order as core::RingWindow::Materialize: oldest retained
-  // tick first, slot = absolute tick modulo capacity.
+  // Same order as core::RingWindow::Materialize: oldest retained tick
+  // first, slot = absolute tick modulo capacity.
   const ShardHot& hot = shard.hot;
   const size_t capacity = config_.window_capacity;
-  const size_t size = hot.window_size[local];
-  const int64_t start = hot.window_total[local] - static_cast<int64_t>(size);
-  const double* base =
-      hot.window_slab.data() + static_cast<size_t>(local) * capacity *
-                                   kRowDoubles;
+  const int64_t total = hot.window_total[local];
+  const int64_t size = std::min(total, static_cast<int64_t>(capacity));
+  const int64_t start = total - size;
   telemetry::NodeTrace out;
   out.ip = ip;
-  out.cpi.reserve(size);
+  out.cpi.reserve(static_cast<size_t>(size));
   for (int m = 0; m < telemetry::kNumMetrics; ++m) {
-    out.metrics[static_cast<size_t>(m)].reserve(size);
+    out.metrics[static_cast<size_t>(m)].reserve(static_cast<size_t>(size));
   }
-  for (size_t i = 0; i < size; ++i) {
-    const size_t slot = static_cast<size_t>(
-        (start + static_cast<int64_t>(i)) % static_cast<int64_t>(capacity));
-    const double* row = base + slot * kRowDoubles;
+  for (int64_t i = 0; i < size; ++i) {
+    const uint32_t slot = static_cast<uint32_t>(
+        (start + i) % static_cast<int64_t>(capacity));
+    const double* row = hot.window_slab.data() + SlabRow(capacity, local, slot);
     out.cpi.push_back(row[0]);
     for (int m = 0; m < telemetry::kNumMetrics; ++m) {
       out.metrics[static_cast<size_t>(m)].push_back(row[m + 1]);
@@ -501,28 +523,33 @@ void MonitorFleet::DispatchDiagnosis(MonitorHandle handle) {
   // Snapshot everything the diagnosis needs now: later ticks keep mutating
   // the live window while the MIC matrix grinds on the copy, and a StartJob
   // re-arm can swap the monitor's model epoch underneath us.
-  ColdSlot& cold = slots_[static_cast<size_t>(handle)];
-  const Shard& shard = *shards_[static_cast<size_t>(cold.shard)];
+  const size_t h = static_cast<size_t>(handle);
+  const ColdSlot& cold = slots_[h];
+  const Shard& shard = *shards_[shard_of_[h]];
+  const uint32_t local = local_of_[h];
   FleetDiagnosis pending;
   pending.context = cold.context;
-  pending.epoch = shard.hot.epoch[cold.local];
-  pending.first_alarm_tick = shard.hot.first_alarm_tick[cold.local];
+  pending.epoch = shard.hot.epoch[local];
+  pending.first_alarm_tick = shard.hot.first_alarm_tick[local];
   std::shared_ptr<const core::ContextModel> model = cold.model;
   telemetry::NodeTrace window =
-      MaterializeWindow(shard, cold.local, cold.context.node_ip);
+      MaterializeWindow(shard, local, cold.context.node_ip);
 
   size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(results_mu_);
     depth = ++pending_;
   }
-  obs::MetricsRegistry::Shared().GetHistogram("serve.diagnosis_queue_depth")
-      .Record(static_cast<double>(depth));
-  obs::MetricsRegistry::Shared().GetGauge("serve.diagnosis_backlog")
-      .Set(static_cast<double>(depth));
+  queue_depth_histogram_->Record(static_cast<double>(depth));
+  diagnosis_backlog_gauge_->Set(static_cast<double>(depth));
 
+  // The registry handles are copied into the task: past the notify below
+  // the fleet may already be getting destroyed, while the process-wide
+  // registry they point into outlives it.
   auto task = [this, pending = std::move(pending), model = std::move(model),
-               window = std::move(window)]() mutable {
+               window = std::move(window),
+               completed_counter = diagnoses_completed_counter_,
+               backlog_gauge = diagnosis_backlog_gauge_]() mutable {
     Result<core::DiagnosisReport> report =
         pipeline_->InferCauseForModel(*model, window);
     if (report.ok()) {
@@ -532,8 +559,7 @@ void MonitorFleet::DispatchDiagnosis(MonitorHandle handle) {
     } else {
       pending.status = report.status();
     }
-    obs::MetricsRegistry::Shared().GetCounter("serve.diagnoses_completed")
-        .Increment();
+    completed_counter->Increment();
     diagnoses_completed_.fetch_add(1, std::memory_order_relaxed);
     obs::EventJournal::Shared().Record(
         obs::EventKind::kDiagnosis, "alarm-triggered diagnosis completed",
@@ -553,8 +579,7 @@ void MonitorFleet::DispatchDiagnosis(MonitorHandle handle) {
     }
     // Only the process-wide registry is touched past the notify: the fleet
     // may already be getting destroyed by the thread it just woke.
-    obs::MetricsRegistry::Shared().GetGauge("serve.diagnosis_backlog")
-        .Set(static_cast<double>(backlog));
+    backlog_gauge->Set(static_cast<double>(backlog));
   };
   if (config_.threads == 1) {
     task();
@@ -594,25 +619,40 @@ MonitorHandle MonitorFleet::Resolve(
 }
 
 MonitorView MonitorFleet::ViewLocked(MonitorHandle handle) const {
-  const ColdSlot& cold = slots_[static_cast<size_t>(handle)];
-  const ShardHot& hot = shards_[static_cast<size_t>(cold.shard)]->hot;
-  const uint32_t local = cold.local;
+  const size_t h = static_cast<size_t>(handle);
+  const ShardHot& hot = shards_[shard_of_[h]]->hot;
+  const uint32_t local = local_of_[h];
+  const int64_t total = hot.window_total[local];
+  const int64_t capacity = static_cast<int64_t>(config_.window_capacity);
   MonitorView view;
-  view.context = cold.context;
+  view.context = slots_[h].context;
   view.handle = handle;
-  view.shard = cold.shard;
-  view.job_active = job_active_[static_cast<size_t>(handle)] != 0;
-  view.alarm_active = hot.alarm[local] != 0;
+  view.shard = static_cast<int>(shard_of_[h]);
+  view.job_active = job_active_[h] != 0;
+  view.alarm_active = hot.alarm[local] != kAlarmNone;
   view.epoch = hot.epoch[local];
   view.first_alarm_tick = hot.first_alarm_tick[local];
-  view.ticks_observed = hot.window_total[local];
-  view.window_ticks = static_cast<int>(hot.window_size[local]);
+  view.ticks_observed = total;
+  view.window_ticks = static_cast<int>(std::min(total, capacity));
   view.window_capacity = config_.window_capacity;
-  view.window_start_tick =
-      hot.window_total[local] - static_cast<int64_t>(hot.window_size[local]);
+  view.window_start_tick = total - std::min(total, capacity);
   view.last_residual = hot.last_residual[local];
   view.debounce = hot.debounce[local];
   return view;
+}
+
+MonitorStatus MonitorFleet::StatusRow(MonitorHandle handle) const {
+  const MonitorView view = ViewLocked(handle);
+  MonitorStatus row;
+  row.context = view.context.ToString();
+  row.shard = view.shard;
+  row.job_active = view.job_active;
+  row.alarm_active = view.alarm_active;
+  row.epoch = view.epoch;
+  row.first_alarm_tick = view.first_alarm_tick;
+  row.ticks_observed = static_cast<int>(view.ticks_observed);
+  row.window_ticks = view.window_ticks;
+  return row;
 }
 
 std::optional<MonitorView> MonitorFleet::View(MonitorHandle handle) const {
@@ -628,31 +668,32 @@ std::optional<MonitorView> MonitorFleet::View(
 }
 
 void MonitorFleet::PublishGauges() {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Shared();
-  registry.GetGauge("serve.active_monitors")
-      .Set(static_cast<double>(active_jobs_));
-  registry.GetGauge("serve.alarms_active")
-      .Set(static_cast<double>(alarms_latched_));
+  active_monitors_gauge_->Set(static_cast<double>(active_jobs_));
+  alarms_active_gauge_->Set(static_cast<double>(alarms_latched_));
 }
 
 void MonitorFleet::RunWatchdogs(int new_alarms, double ingest_seconds) {
+  // Both detectors keep rings of the last min(ticks, window) ticks; `tick`
+  // is this tick's ordinal, and the slot it overwrites held the tick that
+  // just left the window.
+  const uint64_t tick = ticks_ingested_ - 1;
+
   // Alarm-storm detector: new alarms over a sliding window of ticks, with
   // trip-at-T / clear-at-T/2 hysteresis so a storm journals twice (start
   // and end), not once per tick.
   if (config_.storm_alarm_threshold > 0) {
-    storm_window_.push_back(new_alarms);
+    int& slot = storm_window_[tick % storm_window_.size()];
+    if (tick >= storm_window_.size()) storm_alarms_in_window_ -= slot;
+    slot = new_alarms;
     storm_alarms_in_window_ += new_alarms;
-    if (storm_window_.size() > config_.storm_window_ticks) {
-      storm_alarms_in_window_ -= storm_window_.front();
-      storm_window_.pop_front();
-    }
     if (!storm_active_ &&
         storm_alarms_in_window_ >= config_.storm_alarm_threshold) {
       storm_active_ = true;
       obs::EventJournal::Shared().Record(
           obs::EventKind::kAlarmStorm, "alarm storm started",
           {{"alarms_in_window", storm_alarms_in_window_},
-           {"window_ticks", static_cast<uint64_t>(storm_window_.size())},
+           {"window_ticks",
+            std::min<uint64_t>(tick + 1, storm_window_.size())},
            {"threshold", config_.storm_alarm_threshold}});
     } else if (storm_active_ &&
                storm_alarms_in_window_ <= config_.storm_alarm_threshold / 2) {
@@ -665,21 +706,20 @@ void MonitorFleet::RunWatchdogs(int new_alarms, double ingest_seconds) {
 
   // Slow-tick watchdog: p99 of recent batched-ingest latencies against the
   // configured budget, same trip/recover hysteresis.
-  tick_latencies_.push_back(ingest_seconds);
-  if (tick_latencies_.size() > config_.watchdog_window_ticks) {
-    tick_latencies_.pop_front();
-  }
-  std::vector<double> sorted(tick_latencies_.begin(), tick_latencies_.end());
-  std::sort(sorted.begin(), sorted.end());
-  const size_t rank =
-      sorted.empty()
-          ? 0
-          : std::min(sorted.size() - 1,
-                     static_cast<size_t>(0.99 *
-                                         static_cast<double>(sorted.size())));
-  ingest_p99_seconds_ = sorted.empty() ? 0.0 : sorted[rank];
-  obs::MetricsRegistry::Shared().GetGauge("serve.ingest_p99_seconds")
-      .Set(ingest_p99_seconds_);
+  tick_latencies_[tick % tick_latencies_.size()] = ingest_seconds;
+  // The rank-th smallest latency, selected in a reused scratch buffer.
+  latency_scratch_.assign(
+      tick_latencies_.begin(),
+      tick_latencies_.begin() + static_cast<std::ptrdiff_t>(std::min<uint64_t>(
+                                    tick + 1, tick_latencies_.size())));
+  const size_t rank = std::min(
+      latency_scratch_.size() - 1,
+      static_cast<size_t>(0.99 * static_cast<double>(latency_scratch_.size())));
+  std::nth_element(latency_scratch_.begin(),
+                   latency_scratch_.begin() + static_cast<std::ptrdiff_t>(rank),
+                   latency_scratch_.end());
+  ingest_p99_seconds_ = latency_scratch_[rank];
+  ingest_p99_gauge_->Set(ingest_p99_seconds_);
   if (config_.slow_tick_budget_seconds > 0.0) {
     if (!slow_ticks_active_ &&
         ingest_p99_seconds_ > config_.slow_tick_budget_seconds) {
@@ -726,43 +766,19 @@ void MonitorFleet::RefreshStatusCache() {
 
   // Per-monitor rows are capped: full dump only when asked for (or the
   // fleet is small); otherwise at most status_top_k interesting rows
-  // (alarm latched or window overflowed this job), found by a flat scan of
-  // the per-shard alarm bytes that is skipped entirely in the quiet case.
+  // (alarm latched or window overflowed this job), walked off the ordered
+  // interesting_ index in handle order.
   const bool full = config_.status_full_dump ||
                     slots_.size() <= config_.status_top_k;
   if (full) {
     status.monitors.reserve(slots_.size());
     for (size_t h = 0; h < slots_.size(); ++h) {
-      MonitorStatus row;
-      const MonitorView view = ViewLocked(static_cast<MonitorHandle>(h));
-      row.context = view.context.ToString();
-      row.shard = view.shard;
-      row.job_active = view.job_active;
-      row.alarm_active = view.alarm_active;
-      row.epoch = view.epoch;
-      row.first_alarm_tick = view.first_alarm_tick;
-      row.ticks_observed = static_cast<int>(view.ticks_observed);
-      row.window_ticks = view.window_ticks;
-      status.monitors.push_back(std::move(row));
+      status.monitors.push_back(StatusRow(static_cast<MonitorHandle>(h)));
     }
-  } else if (alarms_latched_ > 0 || window_overflows_ > 0) {
-    for (size_t h = 0;
-         h < slots_.size() && status.monitors.size() < config_.status_top_k;
-         ++h) {
-      const ColdSlot& cold = slots_[h];
-      const ShardHot& hot = shards_[static_cast<size_t>(cold.shard)]->hot;
-      if (hot.alarm[cold.local] == 0 && !cold.overflow_journaled) continue;
-      MonitorStatus row;
-      const MonitorView view = ViewLocked(static_cast<MonitorHandle>(h));
-      row.context = view.context.ToString();
-      row.shard = view.shard;
-      row.job_active = view.job_active;
-      row.alarm_active = view.alarm_active;
-      row.epoch = view.epoch;
-      row.first_alarm_tick = view.first_alarm_tick;
-      row.ticks_observed = static_cast<int>(view.ticks_observed);
-      row.window_ticks = view.window_ticks;
-      status.monitors.push_back(std::move(row));
+  } else {
+    for (const MonitorHandle handle : interesting_) {
+      if (status.monitors.size() >= config_.status_top_k) break;
+      status.monitors.push_back(StatusRow(handle));
     }
   }
   status.monitors_listed_truncated = status.monitors.size() < slots_.size();

@@ -5,12 +5,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/spsc_ring.h"
@@ -24,9 +24,9 @@ namespace invarnetx::serve {
 
 // Dense index of one monitor within its fleet, assigned at the first
 // StartJob for its operation context and stable for the fleet's lifetime.
-// The ingest hot path resolves handles with two array loads; the
-// string-keyed context map is only consulted at StartJob time (or for
-// samples that arrive without a handle).
+// The ingest hot path resolves handles with two array loads; the hashed
+// context index is only consulted at StartJob time (or for samples that
+// arrive without a handle).
 using MonitorHandle = int32_t;
 inline constexpr MonitorHandle kInvalidMonitor = -1;
 
@@ -35,9 +35,10 @@ inline constexpr MonitorHandle kInvalidMonitor = -1;
 // value (as long as no ingest ring overflows; overflow itself is
 // deterministic for a fixed shard count and ring capacity).
 struct FleetConfig {
-  // Observation retention per monitor, in ticks. The fleet's steady-state
-  // memory is monitors x window_capacity ticks (one contiguous slab per
-  // shard).
+  // Observation retention per monitor, in ticks. Windows live in one slab
+  // per shard, grown a block of 16 monitors at a time, so a shard holding
+  // m monitors keeps ceil(m / 16) x 16 x window_capacity rows of 216 bytes
+  // (27 doubles) however few of them it fills.
   size_t window_capacity = 256;
   // Workers for the per-tick shard fan-out (<= 0: one per hardware thread;
   // 1: fully serial - no pool, deterministic single-thread execution).
@@ -48,7 +49,8 @@ struct FleetConfig {
   // the ingestion thread, consumer = one shard-affine pool worker per
   // tick) and the structure-of-arrays hot state of its monitors. Monitors
   // are assigned shard = handle % shards at StartJob. <= 0: one shard per
-  // hardware thread.
+  // hardware thread, but no more than ceil(expected_monitors / 16) when
+  // expected_monitors is set, so no shard holds a mostly empty slab block.
   int shards = 0;
   // Per-shard ingest ring capacity = the backpressure limit: a shard
   // accepts at most this many samples per tick; the rest are rejected
@@ -64,10 +66,10 @@ struct FleetConfig {
 
   // --- Observability knobs (no effect on verdicts or diagnoses) ---
 
-  // /statusz snapshot cap: at most this many per-monitor rows, picked from
-  // the interesting monitors (alarm latched, window overflowed, or
-  // backpressure-rejected this job). Fleets with <= status_top_k monitors
-  // list everything. The cap keeps RefreshStatusCache O(K) at fleet scale;
+  // /statusz snapshot cap: at most this many per-monitor rows, picked in
+  // handle order from the interesting monitors (alarm latched or window
+  // overflowed this job). Fleets with <= status_top_k monitors list
+  // everything. The cap keeps RefreshStatusCache O(K) at fleet scale;
   // status_full_dump = true restores the full O(monitors) dump.
   size_t status_top_k = 32;
   bool status_full_dump = false;
@@ -82,9 +84,9 @@ struct FleetConfig {
   // when it recovers. A non-positive budget disables the watchdog.
   double slow_tick_budget_seconds = 0.25;
   size_t watchdog_window_ticks = 64;
-  // Pre-sizes the per-shard state (SoA vectors + window slabs) for this
-  // many monitors, so arming a large fleet never re-copies a half-built
-  // slab. 0 = grow on demand.
+  // Pre-sizes the per-shard state (SoA vectors + window slabs) and the
+  // context index for this many monitors, so arming a large fleet never
+  // re-copies a half-built slab. 0 = grow on demand.
   size_t expected_monitors = 0;
 };
 
@@ -186,12 +188,13 @@ struct FleetDiagnosis {
 // engine is sharded for scale:
 //
 //   - StartJob assigns each monitor a dense MonitorHandle and a shard
-//     (handle % shards). The hot detection state - latest residual, cached
-//     alarm threshold, debounce counter, alarm latch, window cursors,
-//     pinned epoch - lives in structure-of-arrays vectors packed per shard,
-//     and every shard's observation windows share one contiguous slab;
-//     cold state (context string, model snapshot, dispatch flags) is
-//     out-of-line so the per-sample path never touches it.
+//     (handle % shards). The hot detection state - fixed-size ARIMA
+//     predictor, latest residual, cached alarm threshold, debounce counter,
+//     alarm latch, window cursors, pinned epoch - lives in
+//     structure-of-arrays vectors packed per shard, and every shard's
+//     observation windows share one slot-major slab; cold state (context
+//     string, model snapshot) is out-of-line so the per-sample path never
+//     touches it.
 //   - IngestTick validates the batch up front (allocation-free: dense
 //     tick-stamped flags over handles), then distributes entries into each
 //     shard's bounded SPSC ring. One shard-affine consumer per shard
@@ -285,26 +288,33 @@ class MonitorFleet {
     uint32_t index = 0;
   };
 
+  // Alarm latch states. The kernel latches kAlarmNew; the serial
+  // accounting pass of the same tick journals it, dispatches its diagnosis
+  // and moves it to kAlarmAccounted, so each job's alarm is handled once.
+  static constexpr uint8_t kAlarmNone = 0;
+  static constexpr uint8_t kAlarmNew = 1;
+  static constexpr uint8_t kAlarmAccounted = 2;
+
   // Structure-of-arrays hot detection state of one shard, indexed by the
   // shard-local monitor index. Everything the per-sample path reads or
   // writes lives here, packed contiguously; scanning a shard's alarms or
-  // residuals walks flat arrays.
+  // residuals walks flat arrays. A window retains min(window_total,
+  // capacity) ticks; the oldest sits at absolute tick window_total minus
+  // that.
   struct ShardHot {
+    std::vector<ts::ArimaPredictor> predictor;  // fixed size, inline state
     std::vector<double> last_residual;
     std::vector<double> threshold;        // cached from the pinned model
     std::vector<int32_t> debounce;        // consecutive exceedances
-    std::vector<uint8_t> alarm;           // latch
+    std::vector<uint8_t> alarm;           // kAlarm* latch
     std::vector<int32_t> first_alarm_tick;
     std::vector<int64_t> window_total;    // absolute ticks pushed
-    std::vector<uint32_t> window_size;    // retained (<= capacity)
     std::vector<uint32_t> window_head;    // next slab write slot
     std::vector<uint64_t> epoch;          // pinned at StartJob
-    std::vector<ts::ArimaPredictor> predictor;
-    // All windows of the shard: local * capacity * (1 + kNumMetrics)
-    // doubles, row-major [cpi, metric 0..25] per tick slot.
+    // All windows of the shard, slot-major in blocks of kSlabBlock
+    // monitors (see SlabRow in fleet.cc): one tick's rows for a block are
+    // contiguous. Row = [cpi, metric 0..25].
     std::vector<double> window_slab;
-
-    size_t size() const { return alarm.size(); }
   };
 
   struct Shard {
@@ -319,6 +329,8 @@ class MonitorFleet {
     obs::Counter* ring_overflow_counter = nullptr;
     uint64_t samples = 0;       // fleet-local tallies for /statusz
     uint64_t ring_rejects = 0;
+    // Window overwrites by this tick's drain, read by the accounting pass.
+    uint32_t tick_overflows = 0;
     // First backpressure reject per job era (any StartJob resets) is
     // journaled; later ones only count.
     bool backpressure_journaled = false;
@@ -335,18 +347,11 @@ class MonitorFleet {
   struct ColdSlot {
     core::OperationContext context;
     std::shared_ptr<const core::ContextModel> model;
-    int shard = 0;
-    uint32_t local = 0;
-    // One asynchronous diagnosis per job: set when the alarm's diagnosis
-    // was enqueued, cleared by StartJob.
-    bool diagnosis_dispatched = false;
-    // First window overflow of a job is journaled; later ones only count.
-    bool overflow_journaled = false;
   };
 
-  // The per-sample detection kernel: ARIMA one-step residual, cached
-  // threshold compare, debounce, alarm latch, window-slab push. Exactly
-  // the OnlineMonitor::Observe math, run against the shard's SoA state.
+  // The per-sample path: core::DetectStep (the detection kernel every
+  // detector shares) against the shard's SoA state, alarm latch, window
+  // slab push, and the shard's per-tick overflow/event tallies.
   void ObserveOne(Shard& shard, uint32_t local, const TickSample& sample);
   // Pops `expected` entries off the shard's ring (spinning on empty - the
   // producer is still distributing) and observes each.
@@ -356,14 +361,15 @@ class MonitorFleet {
   telemetry::NodeTrace MaterializeWindow(const Shard& shard, uint32_t local,
                                          const std::string& ip) const;
   MonitorView ViewLocked(MonitorHandle handle) const;
+  MonitorStatus StatusRow(MonitorHandle handle) const;
 
   // Snapshots the monitor's window + pinned model and enqueues the cause
   // inference (inline when config_.threads == 1).
   void DispatchDiagnosis(MonitorHandle handle);
   void PublishGauges();
   // Refreshes the cached /statusz snapshot; ingestion thread only. O(1)
-  // counters plus at most status_top_k formatted rows (O(monitors) only
-  // with status_full_dump).
+  // counters plus at most status_top_k formatted rows walked off the
+  // interesting_ index (O(monitors) only with status_full_dump).
   void RefreshStatusCache();
   // Feeds the alarm-storm detector and slow-tick watchdog with one tick's
   // outcome; journals trips and recoveries. Ingestion thread only.
@@ -374,9 +380,11 @@ class MonitorFleet {
   int consecutive_required_ = 3;
   int effective_threads_ = 1;  // EffectiveThreadCount(config_.threads)
 
-  // Monitor index: string-keyed map for StartJob/Resolve, dense arrays for
-  // the hot path.
-  std::map<core::OperationContext, MonitorHandle> index_;
+  // Monitor index: hashed context index for StartJob/Resolve, dense arrays
+  // for the hot path.
+  std::unordered_map<core::OperationContext, MonitorHandle,
+                     core::OperationContextHash>
+      index_;
   std::vector<ColdSlot> slots_;            // handle -> cold state
   std::vector<uint32_t> shard_of_;         // handle -> shard
   std::vector<uint32_t> local_of_;         // handle -> shard-local index
@@ -390,7 +398,25 @@ class MonitorFleet {
   std::vector<uint8_t> accepted_scratch_;
   std::vector<uint32_t> shard_count_scratch_;
   std::vector<uint32_t> shard_pushed_scratch_;
-  std::vector<uint32_t> shard_window_overflow_scratch_;
+
+  // Monitors with an alarm latched or a window overflowed this job, in
+  // handle order: the rows /statusz may list. Maintained at alarm/overflow
+  // accounting and StartJob, so a refresh walks at most status_top_k
+  // entries instead of the fleet.
+  std::set<MonitorHandle> interesting_;
+
+  // Registry handles bound once at construction, like the shard counters:
+  // StartJob and IngestTick never look a metric up by name.
+  obs::Gauge* active_monitors_gauge_ = nullptr;
+  obs::Gauge* alarms_active_gauge_ = nullptr;
+  obs::Gauge* diagnosis_backlog_gauge_ = nullptr;
+  obs::Gauge* ingest_p99_gauge_ = nullptr;
+  obs::Counter* ticks_ingested_counter_ = nullptr;
+  obs::Counter* samples_ingested_counter_ = nullptr;
+  obs::Counter* alarms_raised_counter_ = nullptr;
+  obs::Counter* diagnoses_completed_counter_ = nullptr;
+  obs::Histogram* ingest_seconds_histogram_ = nullptr;
+  obs::Histogram* queue_depth_histogram_ = nullptr;
 
   // Completed-diagnosis hand-off between pool workers and the ingestion
   // thread.
@@ -412,10 +438,13 @@ class MonitorFleet {
   std::atomic<uint64_t> diagnoses_completed_{0};  // pool workers bump this
 
   // Alarm-storm detector + slow-tick watchdog state; ingestion thread only.
-  std::deque<int> storm_window_;
+  // Both windows are rings sized at construction and indexed by tick
+  // ordinal, so the detectors never allocate.
+  std::vector<int> storm_window_;        // new alarms per tick
   int storm_alarms_in_window_ = 0;
   bool storm_active_ = false;
-  std::deque<double> tick_latencies_;
+  std::vector<double> tick_latencies_;   // ingest seconds per tick
+  std::vector<double> latency_scratch_;  // p99 selection
   bool slow_ticks_active_ = false;
   double ingest_p99_seconds_ = 0.0;
 

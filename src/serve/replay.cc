@@ -272,6 +272,9 @@ Result<std::string> ReplayTrace(const core::InvarNetX& pipeline,
   fleet_config.threads = options.threads;
   fleet_config.shards = options.shards;
   fleet_config.ring_capacity = options.ring_capacity;
+  // Sizing hint: one monitor per node (a FIFO-sequence trace arms one per
+  // node and job type, so the hint is a lower bound there).
+  fleet_config.expected_monitors = trace.nodes.size();
   MonitorFleet fleet(&pipeline, fleet_config);
 
   std::ostringstream out;

@@ -43,6 +43,31 @@ Result<std::vector<double>> LongArResiduals(const std::vector<double>& w,
   return resid;
 }
 
+// InvalidArgument unless `order` lies within the bounds the streaming
+// predictor's inline arrays are sized for.
+Status CheckOrder(const ArimaOrder& order, const char* who) {
+  if (order.p < 0 || order.d < 0 || order.q < 0 || order.p > kMaxArimaP ||
+      order.d > kMaxArimaD || order.q > kMaxArimaQ) {
+    return Status::InvalidArgument(
+        std::string(who) + ": order " + order.ToString() + " outside " +
+        ArimaOrder{kMaxArimaP, kMaxArimaD, kMaxArimaQ}.ToString() +
+        " bounds");
+  }
+  return Status::Ok();
+}
+
+// Inserts `value` at the front of a newest-first history holding at most
+// `cap` entries.
+template <size_t N>
+void PushFront(std::array<double, N>& history, int* count, int cap,
+               double value) {
+  for (int i = std::min(*count, cap - 1); i > 0; --i) {
+    history[static_cast<size_t>(i)] = history[static_cast<size_t>(i - 1)];
+  }
+  history[0] = value;
+  *count = std::min(*count + 1, cap);
+}
+
 }  // namespace
 
 std::string ArimaOrder::ToString() const {
@@ -52,9 +77,7 @@ std::string ArimaOrder::ToString() const {
 
 Result<ArimaModel> ArimaModel::Fit(const std::vector<double>& series,
                                    const ArimaOrder& order) {
-  if (order.p < 0 || order.d < 0 || order.q < 0) {
-    return Status::InvalidArgument("ArimaModel::Fit: negative order");
-  }
+  INVARNETX_RETURN_IF_ERROR(CheckOrder(order, "ArimaModel::Fit"));
   Result<std::vector<double>> diffed = Difference(series, order.d);
   if (!diffed.ok()) return diffed.status();
   const std::vector<double>& w = diffed.value();
@@ -141,9 +164,7 @@ Result<ArimaModel> ArimaModel::FromParameters(const ArimaOrder& order,
                                               std::vector<double> ma,
                                               double intercept,
                                               double sigma2) {
-  if (order.p < 0 || order.d < 0 || order.q < 0) {
-    return Status::InvalidArgument("FromParameters: negative order");
-  }
+  INVARNETX_RETURN_IF_ERROR(CheckOrder(order, "FromParameters"));
   if (ar.size() != static_cast<size_t>(order.p) ||
       ma.size() != static_cast<size_t>(order.q)) {
     return Status::InvalidArgument(
@@ -186,84 +207,84 @@ Result<std::vector<double>> ArimaModel::AbsResiduals(
   return out;
 }
 
-ArimaPredictor::ArimaPredictor(ArimaModel model) : model_(std::move(model)) {}
-
-void ArimaPredictor::Reset() {
-  raw_history_.clear();
-  w_history_.clear();
-  residuals_.clear();
+ArimaPredictor::ArimaPredictor(const ArimaModel& model)
+    : order_(model.order()), intercept_(model.intercept()) {
+  // Every ArimaModel's order is within the kMaxArima* bounds (Fit and
+  // FromParameters reject the rest), so the copies fit the inline arrays.
+  std::copy(model.ar().begin(), model.ar().end(), ar_.begin());
+  std::copy(model.ma().begin(), model.ma().end(), ma_.begin());
 }
 
-bool ArimaPredictor::Ready() const { return HasEnoughHistory(); }
-
-bool ArimaPredictor::HasEnoughHistory() const {
-  const ArimaOrder& o = model_.order();
-  return w_history_.size() >= static_cast<size_t>(o.p) &&
-         raw_history_.size() >= static_cast<size_t>(o.d);
+void ArimaPredictor::Reset() {
+  raw_count_ = 0;
+  w_count_ = 0;
+  resid_count_ = 0;
 }
 
 double ArimaPredictor::ForecastDifferenced() const {
-  const ArimaOrder& o = model_.order();
-  double acc = model_.intercept();
-  for (int i = 1; i <= o.p; ++i) {
-    acc += model_.ar()[static_cast<size_t>(i - 1)] *
-           w_history_[w_history_.size() - static_cast<size_t>(i)];
+  double acc = intercept_;
+  for (int i = 0; i < order_.p; ++i) {
+    acc += ar_[static_cast<size_t>(i)] * w_[static_cast<size_t>(i)];
   }
-  for (int j = 1; j <= o.q; ++j) {
-    if (residuals_.size() < static_cast<size_t>(j)) break;
-    acc += model_.ma()[static_cast<size_t>(j - 1)] *
-           residuals_[residuals_.size() - static_cast<size_t>(j)];
+  const int q = std::min(order_.q, resid_count_);
+  for (int j = 0; j < q; ++j) {
+    acc += ma_[static_cast<size_t>(j)] * resid_[static_cast<size_t>(j)];
   }
   return acc;
 }
 
-double ArimaPredictor::PredictNext() const {
-  if (!HasEnoughHistory()) {
-    return raw_history_.empty() ? 0.0 : raw_history_.back();
+double ArimaPredictor::ToRawScale(double w_forecast) const {
+  // The difference triangle of the last d raw values (oldest first), built
+  // in place: level k's newest entry is the k-th difference at the origin.
+  const int d = order_.d;
+  std::array<double, kMaxArimaD> level{};
+  std::array<double, kMaxArimaD> last{};
+  for (int i = 0; i < d; ++i) {
+    level[static_cast<size_t>(i)] = raw_[static_cast<size_t>(d - 1 - i)];
   }
-  const int d = model_.order().d;
-  const double wfc = ForecastDifferenced();
-  std::vector<double> tail(raw_history_.end() - d, raw_history_.end());
-  Result<double> fc = Undifference(tail, d, wfc);
-  // Undifference only fails on insufficient tail, which HasEnoughHistory
-  // already guarantees; fall back to naive forecast defensively.
-  return fc.ok() ? fc.value() : raw_history_.back();
+  for (int k = 0; k < d; ++k) {
+    last[static_cast<size_t>(k)] = level[static_cast<size_t>(d - 1)];
+    for (int i = d - 1; i > k; --i) {
+      level[static_cast<size_t>(i)] -= level[static_cast<size_t>(i - 1)];
+    }
+  }
+  double forecast = w_forecast;
+  for (int k = d - 1; k >= 0; --k) forecast += last[static_cast<size_t>(k)];
+  return forecast;
+}
+
+double ArimaPredictor::PredictNext() const {
+  if (!Ready()) return raw_count_ == 0 ? 0.0 : raw_[0];
+  return ToRawScale(ForecastDifferenced());
 }
 
 double ArimaPredictor::Observe(double value) {
-  const ArimaOrder& o = model_.order();
-  const bool model_based = HasEnoughHistory();
-  const double forecast = PredictNext();
+  const bool model_based = Ready();
   const double w_forecast = model_based ? ForecastDifferenced() : 0.0;
+  const double forecast =
+      model_based ? ToRawScale(w_forecast) : PredictNext();
 
-  raw_history_.push_back(value);
-  const size_t raw_cap = static_cast<size_t>(o.d) + 1;
-  while (raw_history_.size() > raw_cap) raw_history_.pop_front();
-
-  if (raw_history_.size() >= static_cast<size_t>(o.d) + 1) {
+  const int d = order_.d;
+  PushFront(raw_, &raw_count_, d + 1, value);
+  if (raw_count_ == d + 1) {
     // d-th difference of the newest point via the alternating binomial sum.
     double w = 0.0;
     double coeff = 1.0;
-    for (int k = 0; k <= o.d; ++k) {
-      w += coeff * raw_history_[raw_history_.size() - 1 - static_cast<size_t>(k)];
-      coeff *= -static_cast<double>(o.d - k) / static_cast<double>(k + 1);
+    for (int k = 0; k <= d; ++k) {
+      w += coeff * raw_[static_cast<size_t>(k)];
+      coeff *= -static_cast<double>(d - k) / static_cast<double>(k + 1);
     }
     const double innovation = model_based ? (w - w_forecast) : 0.0;
-    w_history_.push_back(w);
-    const size_t w_cap = static_cast<size_t>(std::max(o.p, 1));
-    while (w_history_.size() > w_cap) w_history_.pop_front();
-    if (o.q > 0) {
-      residuals_.push_back(innovation);
-      while (residuals_.size() > static_cast<size_t>(o.q)) {
-        residuals_.pop_front();
-      }
-    }
+    PushFront(w_, &w_count_, std::max(order_.p, 1), w);
+    if (order_.q > 0) PushFront(resid_, &resid_count_, order_.q, innovation);
   }
   return std::fabs(value - forecast);
 }
 
 Result<ArimaModel> FitArimaAuto(const std::vector<double>& series, int max_p,
                                 int max_d, int max_q) {
+  INVARNETX_RETURN_IF_ERROR(
+      CheckOrder(ArimaOrder{max_p, max_d, max_q}, "FitArimaAuto bound"));
   if (series.size() < 20) {
     return Status::InvalidArgument("FitArimaAuto: need >= 20 observations");
   }

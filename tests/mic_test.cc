@@ -1,8 +1,5 @@
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,57 +11,14 @@
 #include "mic/mic.h"
 #include "mic/simd.h"
 
-// ----------------------------------------------- allocation counting hook --
-// This binary replaces the global allocation functions with counting
-// delegates to malloc/free, so tests can assert that a warm MicWorkspace
-// makes the kernel allocation-free in steady state. Only operator new is
-// counted; deallocation stays untracked (frees need no counting).
-
-namespace {
-std::atomic<uint64_t> g_heap_allocations{0};
-
-uint64_t HeapAllocations() {
-  return g_heap_allocations.load(std::memory_order_relaxed);
-}
-
-void* CountedAlloc(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (align < sizeof(void*)) align = sizeof(void*);
-  if (posix_memalign(&p, align, size ? size : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Counting operator new: a warm MicWorkspace must make the kernel
+// allocation-free in steady state.
+#include "alloc_counter.h"
 
 namespace invarnetx::mic {
 namespace {
+
+using testing_alloc::HeapAllocations;
 
 std::vector<double> Linspace(int n) {
   std::vector<double> out;

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -19,6 +23,9 @@
 #include <vector>
 
 #include "campaign/scenario.h"
+#include "common/parallel.h"
+#include "common/random.h"
+#include "core/anomaly.h"
 #include "core/evaluate.h"
 #include "obs/http.h"
 #include "obs/journal.h"
@@ -27,8 +34,13 @@
 #include "serve/replay.h"
 #include "serve/statusz.h"
 
+// Counting operator new: steady-state ingest must not allocate per sample.
+#include "alloc_counter.h"
+
 namespace invarnetx {
 namespace {
+
+using testing_alloc::HeapAllocations;
 
 using core::InvarNetX;
 using core::OperationContext;
@@ -203,8 +215,7 @@ TEST_F(MonitorFleetTest, SteadyStateMemoryBoundedByMonitorsTimesWindow) {
     ASSERT_TRUE(monitor.has_value());
     // Absolute tick accounting survives eviction...
     EXPECT_EQ(monitor->ticks_observed, total);
-    // ...while retention and allocation stay pinned at the configured
-    // window: fleet memory is monitors x window_capacity ticks.
+    // ...while retention stays pinned at the configured window.
     EXPECT_EQ(monitor->window_ticks, 16);
     EXPECT_EQ(monitor->window_capacity, 16u);
     EXPECT_EQ(monitor->window_start_tick, static_cast<int64_t>(total - 16));
@@ -216,6 +227,28 @@ TEST_F(MonitorFleetTest, SteadyStateMemoryBoundedByMonitorsTimesWindow) {
   EXPECT_LT(victim->first_alarm_tick,
             static_cast<int>(victim->window_start_tick));
   EXPECT_GE(victim->first_alarm_tick, 8);
+}
+
+TEST_F(MonitorFleetTest, AutoShardCountKeepsOneSlabBlockPerShard) {
+  // A shard's first monitor allocates a whole 16-monitor window block, so
+  // an auto shard count never exceeds one shard per expected block; an
+  // explicit count or an unknown fleet size is left alone.
+  const size_t hardware = static_cast<size_t>(EffectiveThreadCount(0));
+  for (size_t expected : {1, 2, 16, 17, 40, 100000}) {
+    FleetConfig config;
+    config.expected_monitors = expected;
+    MonitorFleet fleet(pipeline_, config);
+    EXPECT_EQ(static_cast<size_t>(fleet.shard_count()),
+              std::min(hardware, (expected + 15) / 16))
+        << "expected_monitors=" << expected;
+  }
+  MonitorFleet unknown(pipeline_, FleetConfig{});
+  EXPECT_EQ(static_cast<size_t>(unknown.shard_count()), hardware);
+  FleetConfig explicit_count;
+  explicit_count.shards = 3;
+  explicit_count.expected_monitors = 2;
+  MonitorFleet fixed(pipeline_, explicit_count);
+  EXPECT_EQ(fixed.shard_count(), 3);
 }
 
 TEST_F(MonitorFleetTest, DiagnoseOnAlarmCanBeDisabled) {
@@ -496,6 +529,334 @@ TEST_F(MonitorFleetTest, StatusCacheCapsRowsAtTopKInterestingMonitors) {
   const serve::FleetStatus dump = full_fleet.Snapshot();
   EXPECT_EQ(dump.monitors.size(), 2u);
   EXPECT_FALSE(dump.monitors_listed_truncated);
+}
+
+TEST_F(MonitorFleetTest, ResidualsAndAlarmTicksMatchAnomalyDetectorScan) {
+  // The fleet and core::AnomalyDetector share one detection step; on the
+  // same CPI stream they must agree on every residual bit and on the alarm
+  // tick, for every shard/thread layout.
+  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
+                                       faults::FaultType::kCpuHog, 890);
+  ASSERT_TRUE(faulty.ok());
+  const telemetry::RunTrace& trace = faulty.value();
+  for (int layout : {1, 2}) {
+    FleetConfig config;
+    config.threads = layout;
+    config.shards = layout;
+    config.diagnose_on_alarm = false;
+    MonitorFleet fleet(pipeline_, config);
+    ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
+    ASSERT_TRUE(fleet.StartJob(Context(2)).ok());
+    std::vector<std::vector<double>> residuals(3);
+    for (size_t t = 0; t < trace.nodes[1].cpi.size(); ++t) {
+      ASSERT_TRUE(
+          fleet.IngestTick({SampleAt(trace, 1, t), SampleAt(trace, 2, t)})
+              .ok());
+      for (int node = 1; node <= 2; ++node) {
+        residuals[static_cast<size_t>(node)].push_back(
+            fleet.View(Context(node))->last_residual);
+      }
+    }
+    bool any_alarm = false;
+    for (int node = 1; node <= 2; ++node) {
+      const auto model = pipeline_->GetContext(Context(node)).value();
+      core::AnomalyDetector detector(model->perf,
+                                     pipeline_->config().threshold_rule,
+                                     pipeline_->config().consecutive_required);
+      const core::AnomalyScan scan =
+          detector.Scan(trace.nodes[static_cast<size_t>(node)].cpi);
+      const std::vector<double>& fleet_residuals =
+          residuals[static_cast<size_t>(node)];
+      ASSERT_EQ(fleet_residuals.size(), scan.residuals.size());
+      for (size_t t = 0; t < scan.residuals.size(); ++t) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(fleet_residuals[t]),
+                  std::bit_cast<uint64_t>(scan.residuals[t]))
+            << "node " << node << " tick " << t;
+      }
+      EXPECT_EQ(fleet.View(Context(node))->first_alarm_tick,
+                scan.first_alarm_tick)
+          << "node " << node;
+      any_alarm = any_alarm || scan.triggered();
+    }
+    EXPECT_TRUE(any_alarm);  // the comparison covered an alarm tick
+  }
+}
+
+// A pipeline trained once without operation contexts: every context maps
+// to the one pooled model, so a fleet can arm thousands of monitors.
+class PooledFleetTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    core::InvarNetXConfig config;
+    config.use_operation_context = false;
+    pipeline_ = new InvarNetX(config);
+    auto normal = core::SimulateNormalRuns(WorkloadType::kWordCount, 4, 44);
+    ASSERT_TRUE(normal.ok());
+    ASSERT_TRUE(pipeline_->TrainContext(Context(1), normal.value(), 1).ok());
+    auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 781);
+    ASSERT_TRUE(clean.ok());
+    clean_ = new telemetry::RunTrace(std::move(clean.value()[0]));
+  }
+  static void TearDownTestSuite() {
+    delete pipeline_;
+    delete clean_;
+  }
+
+  // Monitor i's sample at tick t: node 1 of the clean run, shifted by i so
+  // neighbours differ, with the CPI scaled by `cpi_scale`.
+  static TickSample Sample(MonitorFleet& fleet, int i, size_t t,
+                           double cpi_scale = 1.0) {
+    const size_t ticks = clean_->nodes[1].cpi.size();
+    TickSample sample =
+        SampleAt(*clean_, 1, (t + static_cast<size_t>(i)) % ticks);
+    sample.context = Context(i);
+    sample.monitor = fleet.Resolve(Context(i));
+    sample.cpi *= cpi_scale;
+    return sample;
+  }
+
+  // Feeds monitor i alternating CPI spikes and dips until its alarm
+  // latches.
+  static void LatchAlarm(MonitorFleet& fleet, int i) {
+    for (size_t t = 0; t < 64 && !fleet.View(Context(i))->alarm_active; ++t) {
+      ASSERT_TRUE(
+          fleet.IngestTick({Sample(fleet, i, t, t % 2 == 0 ? 3.0 : 0.3)}).ok());
+    }
+    ASSERT_TRUE(fleet.View(Context(i))->alarm_active);
+  }
+
+  static InvarNetX* pipeline_;
+  static telemetry::RunTrace* clean_;
+};
+
+InvarNetX* PooledFleetTest::pipeline_ = nullptr;
+telemetry::RunTrace* PooledFleetTest::clean_ = nullptr;
+
+TEST_F(PooledFleetTest, IngestTickAllocationsDoNotGrowWithBatchSize) {
+  constexpr int kMonitors = 2000;
+  FleetConfig config;
+  config.threads = 2;
+  config.shards = 2;
+  config.window_capacity = 32;  // no overflow (or its journal) in this test
+  config.expected_monitors = kMonitors;
+  MonitorFleet fleet(pipeline_, config);
+  for (int i = 0; i < kMonitors; ++i) {
+    ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+  }
+  std::vector<TickSample> full;
+  std::vector<TickSample> pair;
+  auto fill = [&](size_t t) {
+    full.clear();
+    for (int i = 0; i < kMonitors; ++i) full.push_back(Sample(fleet, i, t));
+    pair.assign(full.begin(), full.begin() + 2);  // one sample per shard
+  };
+  // Warm-up grows every per-tick scratch buffer to its steady size.
+  size_t t = 0;
+  for (; t < 2; ++t) {
+    fill(t);
+    ASSERT_TRUE(fleet.IngestTick(full).ok());
+    ASSERT_TRUE(fleet.IngestTick(pair).ok());
+  }
+  // A tick's own allocations are a constant; the shared pool's task queue
+  // adds one now and then, so compare the fewest over several ticks. One
+  // allocation per sample would put the 2000-sample ticks thousands ahead.
+  uint64_t full_allocations = UINT64_MAX;
+  uint64_t pair_allocations = UINT64_MAX;
+  for (int rep = 0; rep < 8; ++rep, ++t) {
+    fill(t);
+    uint64_t before = HeapAllocations();
+    ASSERT_TRUE(fleet.IngestTick(full).ok());
+    full_allocations = std::min(full_allocations, HeapAllocations() - before);
+    before = HeapAllocations();
+    ASSERT_TRUE(fleet.IngestTick(pair).ok());
+    pair_allocations = std::min(pair_allocations, HeapAllocations() - before);
+  }
+  EXPECT_LE(full_allocations, pair_allocations)
+      << "a 2000-sample tick allocated more than a 2-sample tick";
+  EXPECT_EQ(fleet.alarms_active(), 0u);
+}
+
+// Alarm-triggered diagnoses run on the window the slot-major slab
+// materializes; each must equal cause inference over the last
+// window_capacity samples its monitor observed, oldest first - across slab
+// blocks, wrapped windows, and monitors re-armed out of step with their
+// block.
+TEST_F(PooledFleetTest, DiagnosedWindowsEqualTheObservedSamples) {
+  constexpr int kMonitors = 40;
+  constexpr size_t kWindow = 12;
+  FleetConfig config;
+  config.threads = 2;
+  config.shards = 2;
+  config.window_capacity = kWindow;
+  MonitorFleet fleet(pipeline_, config);
+  for (int i = 0; i < kMonitors; ++i) {
+    ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+  }
+  std::vector<std::vector<TickSample>> observed(kMonitors);
+  for (size_t t = 0; t < 30; ++t) {
+    if (t == 7) {
+      for (int i : {10, 17}) {
+        ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+        observed[static_cast<size_t>(i)].clear();
+      }
+    }
+    std::vector<TickSample> batch;
+    for (int i = 0; i < kMonitors; ++i) {
+      const bool spiking = i % 7 == 3 && t >= 14 + static_cast<size_t>(i % 4);
+      batch.push_back(
+          Sample(fleet, i, t, spiking ? (t % 2 == 0 ? 3.0 : 0.3) : 1.0));
+      observed[static_cast<size_t>(i)].push_back(batch.back());
+    }
+    ASSERT_TRUE(fleet.IngestTick(batch).ok());
+  }
+  fleet.WaitForDiagnoses();
+  const std::vector<FleetDiagnosis> diagnoses = fleet.TakeDiagnoses();
+  ASSERT_GE(diagnoses.size(), 4u);
+  const auto model = pipeline_->GetContext(Context(0)).value();
+  for (const FleetDiagnosis& d : diagnoses) {
+    ASSERT_TRUE(d.status.ok()) << d.status.ToString();
+    const serve::MonitorHandle handle = fleet.Resolve(d.context);
+    const std::vector<TickSample>& seen =
+        observed[static_cast<size_t>(handle)];
+    const size_t end = static_cast<size_t>(d.first_alarm_tick) + 1;
+    ASSERT_LE(end, seen.size());
+    telemetry::NodeTrace window;
+    window.ip = d.context.node_ip;
+    for (size_t k = end - std::min(end, kWindow); k < end; ++k) {
+      window.cpi.push_back(seen[k].cpi);
+      for (int m = 0; m < telemetry::kNumMetrics; ++m) {
+        window.metrics[static_cast<size_t>(m)].push_back(
+            seen[k].metrics[static_cast<size_t>(m)]);
+      }
+    }
+    Result<core::DiagnosisReport> expected =
+        pipeline_->InferCauseForModel(*model, window);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(d.report.violations, expected.value().violations)
+        << d.context.ToString();
+    ASSERT_EQ(d.report.deviations.size(), expected.value().deviations.size());
+    for (size_t k = 0; k < d.report.deviations.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(d.report.deviations[k]),
+                std::bit_cast<uint64_t>(expected.value().deviations[k]))
+          << d.context.ToString() << " pair " << k;
+    }
+  }
+}
+
+// The /statusz rows the ordered interesting-monitor index yields equal a
+// full scan over every handle (alarm latched or window overflowed this job,
+// first status_top_k in handle order), through random re-arms, alarms and
+// overflows.
+TEST_F(PooledFleetTest, StatusRowsMatchAFullScan) {
+  constexpr int kMonitors = 40;
+  FleetConfig config;
+  config.status_top_k = 5;
+  config.window_capacity = 8;
+  config.diagnose_on_alarm = false;
+  MonitorFleet fleet(pipeline_, config);
+  for (int i = 0; i < kMonitors; ++i) {
+    ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+  }
+  auto expect_rows_match_scan = [&](int step) {
+    std::vector<serve::MonitorStatus> expected;
+    for (int h = 0; h < kMonitors; ++h) {
+      const serve::MonitorView view = *fleet.View(serve::MonitorHandle{h});
+      const bool overflowed =
+          view.ticks_observed > static_cast<int64_t>(view.window_capacity);
+      if (!view.alarm_active && !overflowed) continue;
+      if (expected.size() == config.status_top_k) break;
+      serve::MonitorStatus row;
+      row.context = view.context.ToString();
+      row.shard = view.shard;
+      row.job_active = view.job_active;
+      row.alarm_active = view.alarm_active;
+      row.epoch = view.epoch;
+      row.first_alarm_tick = view.first_alarm_tick;
+      row.ticks_observed = static_cast<int>(view.ticks_observed);
+      row.window_ticks = view.window_ticks;
+      expected.push_back(row);
+    }
+    const serve::FleetStatus status = fleet.Snapshot();
+    ASSERT_EQ(status.monitors.size(), expected.size()) << "step " << step;
+    for (size_t r = 0; r < expected.size(); ++r) {
+      const serve::MonitorStatus& got = status.monitors[r];
+      const serve::MonitorStatus& want = expected[r];
+      EXPECT_EQ(got.context, want.context) << "step " << step;
+      EXPECT_EQ(got.shard, want.shard);
+      EXPECT_EQ(got.job_active, want.job_active);
+      EXPECT_EQ(got.alarm_active, want.alarm_active);
+      EXPECT_EQ(got.epoch, want.epoch);
+      EXPECT_EQ(got.first_alarm_tick, want.first_alarm_tick);
+      EXPECT_EQ(got.ticks_observed, want.ticks_observed);
+      EXPECT_EQ(got.window_ticks, want.window_ticks);
+    }
+    EXPECT_TRUE(status.monitors_listed_truncated);
+  };
+
+  Rng rng(4242);
+  std::vector<size_t> ticks(kMonitors, 0);
+  for (int step = 0; step < 60; ++step) {
+    // A few re-arms clear alarms and overflow history...
+    for (int k = 0; k < 3; ++k) {
+      const int i = static_cast<int>(rng.Uniform() * kMonitors);
+      ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+      ticks[static_cast<size_t>(i)] = 0;
+    }
+    expect_rows_match_scan(step);
+    // ...while a random half of the fleet observes a tick, some of it
+    // spiking hard enough to alarm.
+    std::vector<TickSample> batch;
+    for (int i = 0; i < kMonitors; ++i) {
+      if (rng.Uniform() < 0.5) continue;
+      const size_t t = ticks[static_cast<size_t>(i)]++;
+      const bool spiky = i % 7 == 3;
+      batch.push_back(
+          Sample(fleet, i, t, spiky ? (t % 2 == 0 ? 3.0 : 0.3) : 1.0));
+    }
+    ASSERT_TRUE(fleet.IngestTick(batch).ok());
+    expect_rows_match_scan(step);
+  }
+  EXPECT_GT(fleet.alarms_active(), 0u);
+}
+
+// Re-arming a fleet while one alarm is latched costs about what a quiet
+// re-arm does: the status refresh walks the interesting-monitor index, not
+// the fleet (a full scan made a fleet re-arm O(N^2)).
+TEST_F(PooledFleetTest, RearmWithOneAlarmLatchedStaysNearQuietCost) {
+  constexpr int kMonitors = 20000;
+  FleetConfig config;
+  config.threads = 1;
+  config.window_capacity = 4;
+  config.diagnose_on_alarm = false;
+  config.expected_monitors = kMonitors;
+  MonitorFleet fleet(pipeline_, config);
+  for (int i = 0; i < kMonitors; ++i) {
+    ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+  }
+  // Re-arms every monitor but 0 (the one that alarms); best of three.
+  auto rearm_seconds = [&] {
+    double best = 1e30;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 1; i < kMonitors; ++i) {
+        if (!fleet.StartJob(Context(i)).ok()) return -1.0;
+      }
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      best = std::min(best, elapsed.count());
+    }
+    return best;
+  };
+  const double quiet = rearm_seconds();
+  ASSERT_GT(quiet, 0.0);
+  LatchAlarm(fleet, 0);
+  ASSERT_EQ(fleet.alarms_active(), 1u);
+  const double latched = rearm_seconds();
+  ASSERT_GT(latched, 0.0);
+  EXPECT_EQ(fleet.alarms_active(), 1u);
+  EXPECT_LT(latched, 3.0 * quiet)
+      << "re-arm with one alarm latched: " << latched << " s, quiet: "
+      << quiet << " s";
 }
 
 // ------------------------------------------------------------- replay -----

@@ -1,4 +1,11 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,8 +16,13 @@
 #include "timeseries/diagnostics.h"
 #include "timeseries/diff.h"
 
+// Counting operator new: the streaming predictor must never allocate.
+#include "alloc_counter.h"
+
 namespace invarnetx::ts {
 namespace {
+
+using testing_alloc::HeapAllocations;
 
 // Synthesizes an AR(1) series x_t = c + phi x_{t-1} + eps.
 std::vector<double> MakeAr1(double phi, double c, double sigma, int n,
@@ -263,6 +275,229 @@ TEST(ArimaPredictorTest, D1ForecastTracksRandomWalk) {
   EXPECT_DOUBLE_EQ(predictor.PredictNext(), 10.5);
   predictor.Observe(11.0);
   EXPECT_DOUBLE_EQ(predictor.PredictNext(), 11.5);
+}
+
+// ----------------------------------------------- predictor exactness --
+
+// The original deque-backed streaming predictor, kept verbatim as the
+// exactness oracle for the fixed-size ArimaPredictor: three bounded
+// std::deque histories, a vector tail and ts::Undifference per forecast,
+// and the forecast computed twice per Observe. Readable, allocating, slow.
+class ArimaPredictorReference {
+ public:
+  explicit ArimaPredictorReference(ArimaModel model)
+      : model_(std::move(model)) {}
+
+  bool Ready() const {
+    const ArimaOrder& o = model_.order();
+    return w_history_.size() >= static_cast<size_t>(o.p) &&
+           raw_history_.size() >= static_cast<size_t>(o.d);
+  }
+
+  double PredictNext() const {
+    if (!Ready()) return raw_history_.empty() ? 0.0 : raw_history_.back();
+    const int d = model_.order().d;
+    const double wfc = ForecastDifferenced();
+    std::vector<double> tail(raw_history_.end() - d, raw_history_.end());
+    return Undifference(tail, d, wfc).value();
+  }
+
+  double Observe(double value) {
+    const ArimaOrder& o = model_.order();
+    const bool model_based = Ready();
+    const double forecast = PredictNext();
+    const double w_forecast = model_based ? ForecastDifferenced() : 0.0;
+    raw_history_.push_back(value);
+    const size_t raw_cap = static_cast<size_t>(o.d) + 1;
+    while (raw_history_.size() > raw_cap) raw_history_.pop_front();
+    if (raw_history_.size() >= static_cast<size_t>(o.d) + 1) {
+      double w = 0.0;
+      double coeff = 1.0;
+      for (int k = 0; k <= o.d; ++k) {
+        w += coeff *
+             raw_history_[raw_history_.size() - 1 - static_cast<size_t>(k)];
+        coeff *= -static_cast<double>(o.d - k) / static_cast<double>(k + 1);
+      }
+      const double innovation = model_based ? (w - w_forecast) : 0.0;
+      w_history_.push_back(w);
+      const size_t w_cap = static_cast<size_t>(std::max(o.p, 1));
+      while (w_history_.size() > w_cap) w_history_.pop_front();
+      if (o.q > 0) {
+        residuals_.push_back(innovation);
+        while (residuals_.size() > static_cast<size_t>(o.q)) {
+          residuals_.pop_front();
+        }
+      }
+    }
+    return std::fabs(value - forecast);
+  }
+
+  void Reset() {
+    raw_history_.clear();
+    w_history_.clear();
+    residuals_.clear();
+  }
+
+ private:
+  double ForecastDifferenced() const {
+    const ArimaOrder& o = model_.order();
+    double acc = model_.intercept();
+    for (int i = 1; i <= o.p; ++i) {
+      acc += model_.ar()[static_cast<size_t>(i - 1)] *
+             w_history_[w_history_.size() - static_cast<size_t>(i)];
+    }
+    for (int j = 1; j <= o.q; ++j) {
+      if (residuals_.size() < static_cast<size_t>(j)) break;
+      acc += model_.ma()[static_cast<size_t>(j - 1)] *
+             residuals_[residuals_.size() - static_cast<size_t>(j)];
+    }
+    return acc;
+  }
+
+  ArimaModel model_;
+  std::deque<double> raw_history_;
+  std::deque<double> w_history_;
+  std::deque<double> residuals_;
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// A model of the given order with fixed, alternating-sign coefficients.
+ArimaModel ModelOfOrder(const ArimaOrder& order) {
+  std::vector<double> ar;
+  std::vector<double> ma;
+  for (int i = 0; i < order.p; ++i) {
+    ar.push_back((i % 2 == 0 ? 0.3 : -0.2) / (i + 1));
+  }
+  for (int j = 0; j < order.q; ++j) {
+    ma.push_back((j % 2 == 0 ? -0.25 : 0.15) / (j + 1));
+  }
+  return ArimaModel::FromParameters(order, ar, ma,
+                                    0.01 * (1 + order.p + order.q), 1.0)
+      .value();
+}
+
+// A CPI-like series: level plus a slow wave plus AR(1) noise.
+std::vector<double> CpiLikeSeries(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> out;
+  double noise = 0.0;
+  for (int t = 0; t < n; ++t) {
+    noise = 0.6 * noise + rng.Gaussian(0.0, 0.05);
+    out.push_back(1.2 + 0.1 * std::sin(0.07 * t) + noise);
+  }
+  return out;
+}
+
+// Streams `series` through the fixed-size predictor and the reference in
+// lockstep, resetting both at `reset_at`, and requires bit-identical
+// Ready / PredictNext / Observe at every step. A copy of the predictor
+// taken at the midpoint must continue identically.
+void ExpectMatchesReference(const ArimaModel& model,
+                            const std::vector<double>& series,
+                            size_t reset_at) {
+  const std::string order = model.order().ToString();
+  ArimaPredictor predictor(model);
+  ArimaPredictorReference reference(model);
+  std::optional<ArimaPredictor> copy;
+  for (size_t t = 0; t < series.size(); ++t) {
+    if (t == reset_at) {
+      predictor.Reset();
+      reference.Reset();
+    }
+    if (t == series.size() / 2) copy = predictor;
+    ASSERT_EQ(predictor.Ready(), reference.Ready()) << order << " t=" << t;
+    ASSERT_EQ(Bits(predictor.PredictNext()), Bits(reference.PredictNext()))
+        << order << " t=" << t;
+    const double residual = predictor.Observe(series[t]);
+    ASSERT_EQ(Bits(residual), Bits(reference.Observe(series[t])))
+        << order << " t=" << t;
+    if (copy.has_value()) {
+      ASSERT_EQ(Bits(copy->Observe(series[t])), Bits(residual))
+          << order << " copy t=" << t;
+    }
+  }
+}
+
+TEST(ArimaPredictorExactnessTest, EveryOrderWithinBoundsMatchesReference) {
+  const std::vector<double> series = CpiLikeSeries(400, 71);
+  for (int p = 0; p <= kMaxArimaP; ++p) {
+    for (int d = 0; d <= kMaxArimaD; ++d) {
+      for (int q = 0; q <= kMaxArimaQ; ++q) {
+        ExpectMatchesReference(ModelOfOrder(ArimaOrder{p, d, q}), series,
+                               /*reset_at=*/150);
+      }
+    }
+  }
+}
+
+TEST(ArimaPredictorExactnessTest, FittedModelsAndAbsResidualsMatchReference) {
+  for (uint64_t seed : {72u, 73u, 74u}) {
+    const std::vector<double> series =
+        CpiLikeSeries(300, seed * 1000 + seed);
+    Result<ArimaModel> model = FitArimaAuto(series);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    ExpectMatchesReference(model.value(), series, /*reset_at=*/120);
+
+    // AbsResiduals (threshold calibration) runs the same predictor; the
+    // reference recomputes it with the warmup echo of PredictInSample.
+    Result<std::vector<double>> residuals = model.value().AbsResiduals(series);
+    ASSERT_TRUE(residuals.ok());
+    ArimaPredictorReference reference(model.value());
+    for (size_t i = 0; i < series.size(); ++i) {
+      const double pred =
+          reference.Ready() ? reference.PredictNext() : series[i];
+      reference.Observe(series[i]);
+      ASSERT_EQ(Bits(residuals.value()[i]), Bits(std::fabs(series[i] - pred)))
+          << "seed " << seed << " i=" << i;
+    }
+  }
+}
+
+TEST(ArimaPredictorExactnessTest, ConstructionResetAndObserveNeverAllocate) {
+  const ArimaModel model = ModelOfOrder(ArimaOrder{kMaxArimaP, kMaxArimaD,
+                                                   kMaxArimaQ});
+  const std::vector<double> series = CpiLikeSeries(200, 75);
+  const uint64_t before = HeapAllocations();
+  ArimaPredictor predictor(model);
+  double sum = 0.0;
+  for (double v : series) sum += predictor.Observe(v);
+  predictor.Reset();
+  ArimaPredictor copy = predictor;
+  for (double v : series) sum += copy.Observe(v);
+  predictor = copy;
+  sum += predictor.PredictNext();
+  const uint64_t after = HeapAllocations();
+  EXPECT_EQ(after - before, 0u) << "predictor allocated";
+  EXPECT_TRUE(std::isfinite(sum));
+}
+
+TEST(ArimaBoundsTest, OrdersAboveTheBoundsAreTypedErrors) {
+  const std::vector<double> series = CpiLikeSeries(400, 76);
+  for (const ArimaOrder& order :
+       {ArimaOrder{kMaxArimaP + 1, 0, 0}, ArimaOrder{0, kMaxArimaD + 1, 0},
+        ArimaOrder{0, 0, kMaxArimaQ + 1}}) {
+    Result<ArimaModel> fit = ArimaModel::Fit(series, order);
+    ASSERT_FALSE(fit.ok()) << order.ToString();
+    EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+    Result<ArimaModel> built = ArimaModel::FromParameters(
+        order, std::vector<double>(static_cast<size_t>(order.p), 0.1),
+        std::vector<double>(static_cast<size_t>(order.q), 0.1), 0.0, 1.0);
+    ASSERT_FALSE(built.ok()) << order.ToString();
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The largest in-bound order is accepted by both.
+  const ArimaOrder largest{kMaxArimaP, kMaxArimaD, kMaxArimaQ};
+  EXPECT_TRUE(ArimaModel::Fit(series, largest).ok());
+  EXPECT_TRUE(ModelOfOrder(largest).order() == largest);
+
+  for (const auto& [p, d, q] : {std::tuple{kMaxArimaP + 1, 2, 3},
+                                std::tuple{5, kMaxArimaD + 1, 3},
+                                std::tuple{5, 2, kMaxArimaQ + 1}}) {
+    Result<ArimaModel> auto_fit = FitArimaAuto(series, p, d, q);
+    ASSERT_FALSE(auto_fit.ok());
+    EXPECT_EQ(auto_fit.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FitArimaAutoTest, SelectsReasonableOrderForAr1) {

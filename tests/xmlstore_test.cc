@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
+#include "timeseries/arima.h"
 #include "xmlstore/stores.h"
 #include "xmlstore/xml.h"
 
@@ -169,6 +171,42 @@ TEST(StoresTest, ArimaModelRejectsCoefficientMismatch) {
   ASSERT_TRUE(SaveArimaModels(path, {rec}).ok());
   EXPECT_FALSE(LoadArimaModels(path).ok());
   std::filesystem::remove(path);
+}
+
+// A store whose models.xml names an ARIMA order above the streaming
+// predictor's bounds fails at load with a typed error, instead of building
+// a model whose state would overrun the predictor's inline arrays. The
+// largest in-bound order loads.
+TEST(StoresTest, ArimaOrderAboveTheBoundsFailsStoreLoad) {
+  const std::string dir = TempPath("invarnetx_order_bound_store");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(SaveInvariantSets(dir + "/invariants.xml", {}).ok());
+  ASSERT_TRUE(SaveSignatures(dir + "/signatures.xml", {}).ok());
+  auto store_with = [&](int p, int d, int q) {
+    ArimaModelRecord rec;
+    rec.p = p;
+    rec.d = d;
+    rec.q = q;
+    rec.ip = "10.0.0.2";
+    rec.workload = "wordcount";
+    rec.ar.assign(static_cast<size_t>(p), 0.05);
+    rec.ma.assign(static_cast<size_t>(q), 0.05);
+    rec.sigma2 = 1.0;
+    rec.residual_max = 0.3;
+    EXPECT_TRUE(SaveArimaModels(dir + "/models.xml", {rec}).ok());
+    core::InvarNetX pipeline;
+    return pipeline.LoadFromDirectory(dir);
+  };
+  const Status too_many_ar = store_with(ts::kMaxArimaP + 1, 0, 0);
+  EXPECT_EQ(too_many_ar.code(), StatusCode::kInvalidArgument)
+      << too_many_ar.ToString();
+  EXPECT_EQ(store_with(0, ts::kMaxArimaD + 1, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_with(0, 0, ts::kMaxArimaQ + 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      store_with(ts::kMaxArimaP, ts::kMaxArimaD, ts::kMaxArimaQ).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StoresTest, InvariantSetRoundTrip) {
