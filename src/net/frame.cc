@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,30 @@ static_assert(std::numeric_limits<double>::is_iec559,
               "the binary dialect ships raw IEEE-754 doubles");
 static_assert(sizeof(double) == 8 && sizeof(serve::MonitorHandle) == 4,
               "wire layout assumes 8-byte doubles and 4-byte handles");
+// TICK samples copy their doubles to and from the wire with memcpy, so the
+// host byte order must be the wire's.
+static_assert(std::endian::native == std::endian::little,
+              "the binary dialect copies doubles as host bytes");
+
+// uint32 length (includes the type byte) + uint8 type.
+constexpr size_t kFrameHeaderBytes = 5;
+
+void StoreU32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
+}
+
+uint32_t LoadU32(const char* in) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(in[i])) << (8 * i);
+  }
+  return v;
+}
+
+void StoreHeader(char* out, FrameType type, size_t payload_size) {
+  StoreU32(out, static_cast<uint32_t>(payload_size + 1));
+  out[4] = static_cast<char>(type);
+}
 
 void AppendU16(std::string* out, uint16_t v) {
   const char bytes[2] = {static_cast<char>(v & 0xff),
@@ -23,18 +48,12 @@ void AppendU16(std::string* out, uint16_t v) {
 
 void AppendU32(std::string* out, uint32_t v) {
   char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  StoreU32(bytes, v);
   out->append(bytes, 4);
 }
 
 void AppendI32(std::string* out, int32_t v) {
   AppendU32(out, static_cast<uint32_t>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  char bytes[8];
-  std::memcpy(bytes, &v, 8);  // little-endian host assumed (see header)
-  out->append(bytes, 8);
 }
 
 // Strict forward-only cursor over a decode payload.
@@ -53,12 +72,7 @@ class Cursor {
 
   bool ReadU32(uint32_t* v) {
     if (data_.size() - pos_ < 4) return false;
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    *v = out;
+    *v = LoadU32(data_.data() + pos_);
     pos_ += 4;
     return true;
   }
@@ -67,13 +81,6 @@ class Cursor {
     uint32_t raw = 0;
     if (!ReadU32(&raw)) return false;
     std::memcpy(v, &raw, 4);
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    if (data_.size() - pos_ < 8) return false;
-    std::memcpy(v, data_.data() + pos_, 8);
-    pos_ += 8;
     return true;
   }
 
@@ -100,10 +107,11 @@ Status Truncated(const char* what) {
 }  // namespace
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
+  char header[kFrameHeaderBytes];
+  StoreHeader(header, type, payload.size());
   std::string out;
-  out.reserve(5 + payload.size());
-  AppendU32(&out, static_cast<uint32_t>(payload.size() + 1));
-  out.push_back(static_cast<char>(type));
+  out.reserve(kFrameHeaderBytes + payload.size());
+  out.append(header, kFrameHeaderBytes);
   out.append(payload);
   return out;
 }
@@ -139,17 +147,25 @@ std::string EncodeHelloAck(const std::vector<serve::MonitorHandle>& handles) {
 }
 
 std::string EncodeTick(const std::vector<serve::TickSample>& samples) {
-  std::string payload;
-  payload.reserve(4 + samples.size() * kBinarySampleBytes);
-  AppendU32(&payload, static_cast<uint32_t>(samples.size()));
+  std::string frame;
+  EncodeTickInto(samples, &frame);
+  return frame;
+}
+
+void EncodeTickInto(const std::vector<serve::TickSample>& samples,
+                    std::string* frame) {
+  const size_t payload_size = 4 + samples.size() * kBinarySampleBytes;
+  frame->resize(kFrameHeaderBytes + payload_size);
+  char* out = frame->data();
+  StoreHeader(out, FrameType::kTick, payload_size);
+  StoreU32(out + kFrameHeaderBytes, static_cast<uint32_t>(samples.size()));
+  out += kFrameHeaderBytes + 4;
   for (const serve::TickSample& sample : samples) {
-    AppendI32(&payload, sample.monitor);
-    AppendF64(&payload, sample.cpi);
-    for (int m = 0; m < telemetry::kNumMetrics; ++m) {
-      AppendF64(&payload, sample.metrics[static_cast<size_t>(m)]);
-    }
+    StoreU32(out, static_cast<uint32_t>(sample.monitor));
+    std::memcpy(out + 4, &sample.cpi, sizeof(sample.cpi));
+    std::memcpy(out + 12, sample.metrics.data(), sizeof(sample.metrics));
+    out += kBinarySampleBytes;
   }
-  return EncodeFrame(FrameType::kTick, payload);
 }
 
 std::string EncodeTickReply(const TickOutcome& outcome) {
@@ -236,25 +252,31 @@ Result<std::vector<serve::MonitorHandle>> DecodeHelloAck(
 }
 
 Result<std::vector<serve::TickSample>> DecodeTick(std::string_view payload) {
-  Cursor cursor(payload);
-  uint32_t count = 0;
-  if (!cursor.ReadU32(&count)) return Truncated("TICK");
+  std::vector<serve::TickSample> samples;
+  INVARNETX_RETURN_IF_ERROR(DecodeTickInto(payload, &samples));
+  return samples;
+}
+
+Status DecodeTickInto(std::string_view payload,
+                      std::vector<serve::TickSample>* samples) {
+  if (payload.size() < 4) return Truncated("TICK");
+  const uint32_t count = LoadU32(payload.data());
   // The exact-size check up front makes the per-sample loop unconditional
-  // and rejects truncation/trailing garbage in one comparison.
+  // and rejects truncation/trailing garbage in one comparison - before the
+  // batch is touched, so a lying count neither sizes it nor clobbers it.
   if (payload.size() != 4 + static_cast<size_t>(count) * kBinarySampleBytes) {
     return Status::InvalidArgument(
         "TICK payload size does not match its sample count");
   }
-  std::vector<serve::TickSample> samples(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    serve::TickSample& sample = samples[i];
-    cursor.ReadI32(&sample.monitor);
-    cursor.ReadF64(&sample.cpi);
-    for (int m = 0; m < telemetry::kNumMetrics; ++m) {
-      cursor.ReadF64(&sample.metrics[static_cast<size_t>(m)]);
-    }
+  samples->resize(count);
+  const char* in = payload.data() + 4;
+  for (serve::TickSample& sample : *samples) {
+    sample.monitor = static_cast<serve::MonitorHandle>(LoadU32(in));
+    std::memcpy(&sample.cpi, in + 4, sizeof(sample.cpi));
+    std::memcpy(sample.metrics.data(), in + 12, sizeof(sample.metrics));
+    in += kBinarySampleBytes;
   }
-  return samples;
+  return Status::Ok();
 }
 
 Result<TickOutcome> DecodeTickReply(std::string_view payload) {
@@ -277,32 +299,36 @@ Result<uint32_t> DecodeEndJobAck(std::string_view payload) {
 }
 
 Result<Frame> ReadFrame(int fd, size_t max_payload) {
-  char header[4];
-  if (!ReadFull(fd, header, sizeof(header))) {
+  Frame frame;
+  INVARNETX_RETURN_IF_ERROR(ReadFrameInto(fd, max_payload, &frame));
+  return frame;
+}
+
+Status ReadFrameInto(int fd, size_t max_payload, Frame* frame) {
+  // Length and type normally arrive together and come in one recv. The
+  // length is checked as soon as its 4 bytes are in, so a zero-length or
+  // oversized frame is refused without waiting for a type byte.
+  char header[kFrameHeaderBytes];
+  const size_t got = ReadAtLeast(fd, header, 4, sizeof(header));
+  if (got == 0) {
     return Status::IoError("connection closed reading frame header");
   }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(static_cast<uint8_t>(header[i]))
-              << (8 * i);
-  }
+  const uint32_t length = LoadU32(header);
   if (length == 0) return Status::InvalidArgument("zero-length frame");
   if (length > max_payload + 1) {
     return Status::InvalidArgument("oversized frame: " +
                                    std::to_string(length) + " bytes > max " +
                                    std::to_string(max_payload + 1));
   }
-  Frame frame;
-  char type = 0;
-  if (!ReadFull(fd, &type, 1)) {
+  if (got < sizeof(header) && !ReadFull(fd, header + 4, 1)) {
     return Status::IoError("connection closed reading frame type");
   }
-  frame.type = static_cast<FrameType>(static_cast<uint8_t>(type));
-  frame.payload.resize(length - 1);
-  if (length > 1 && !ReadFull(fd, frame.payload.data(), length - 1)) {
+  frame->type = static_cast<FrameType>(static_cast<uint8_t>(header[4]));
+  frame->payload.resize(length - 1);
+  if (length > 1 && !ReadFull(fd, frame->payload.data(), length - 1)) {
     return Status::IoError("connection closed mid-frame");
   }
-  return frame;
+  return Status::Ok();
 }
 
 Status WriteFrame(int fd, const std::string& encoded) {

@@ -80,6 +80,11 @@ std::string EncodeFrame(FrameType type, std::string_view payload);
 Result<std::string> EncodeHello(const std::vector<HelloEntry>& entries);
 std::string EncodeHelloAck(const std::vector<serve::MonitorHandle>& handles);
 std::string EncodeTick(const std::vector<serve::TickSample>& samples);
+// The same TICK frame, written over `*frame` (resized to fit, header in
+// place) so a producer that keeps one buffer encodes without allocating once
+// the buffer has held a frame this large. EncodeTick wraps it.
+void EncodeTickInto(const std::vector<serve::TickSample>& samples,
+                    std::string* frame);
 // kTickAck when rejected == 0, kBackpressure otherwise.
 std::string EncodeTickReply(const TickOutcome& outcome);
 std::string EncodeEndJobAck(uint32_t alarms_active);
@@ -95,12 +100,25 @@ Result<std::vector<serve::MonitorHandle>> DecodeHelloAck(
 // Decoded samples carry only the handle and the doubles; the context field
 // stays empty (the handle is the identity on the wire).
 Result<std::vector<serve::TickSample>> DecodeTick(std::string_view payload);
+// The same decode into a batch the caller keeps: on success `*samples` is
+// resized to the frame's count and every sample's handle and doubles are
+// overwritten, so nothing of an earlier, longer tick survives. Contexts are
+// left as they were (the wire carries none; they stay empty in a batch only
+// the decoders fill). On error the batch is left as it was. Allocation-free
+// once the batch has held this many samples. DecodeTick wraps it.
+Status DecodeTickInto(std::string_view payload,
+                      std::vector<serve::TickSample>* samples);
 Result<TickOutcome> DecodeTickReply(std::string_view payload);
 Result<uint32_t> DecodeEndJobAck(std::string_view payload);
 
 // Reads one length-prefixed frame off a connected socket. Enforces
 // max_payload before allocating; EOF or a timeout mid-frame is an IoError.
 Result<Frame> ReadFrame(int fd, size_t max_payload);
+// The same read into a frame the caller keeps: the payload string is resized
+// in place (only after the max_payload check), so a reader that keeps one
+// Frame stops allocating once it has held a frame this large. On error the
+// frame's contents are unspecified. ReadFrame wraps it.
+Status ReadFrameInto(int fd, size_t max_payload, Frame* frame);
 // Writes one already-encoded frame (or any buffer) to the socket.
 Status WriteFrame(int fd, const std::string& encoded);
 

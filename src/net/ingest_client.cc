@@ -212,7 +212,8 @@ Result<TickOutcome> IngestClient::Tick(
     return TickOutcome{static_cast<uint32_t>(accepted.value()),
                        static_cast<uint32_t>(rejected.value())};
   }
-  INVARNETX_RETURN_IF_ERROR(WriteCommand(EncodeTick(samples)));
+  EncodeTickInto(samples, &tick_frame_);
+  INVARNETX_RETURN_IF_ERROR(WriteCommand(tick_frame_));
   Result<Frame> reply = ReadFrame(fd_, options_.max_frame_bytes);
   if (!reply.ok()) {
     Close();

@@ -63,6 +63,10 @@ class IngestClient {
   IngestClientOptions options_;
   int fd_ = -1;
   std::unique_ptr<LineReader> reader_;  // text dialect only
+  // Binary TICK frames are encoded over this buffer, so a steady stream of
+  // same-size batches sends without allocating. It holds the largest TICK
+  // frame sent and is freed with the client.
+  std::string tick_frame_;
 };
 
 // What streaming a scenario through a client did.

@@ -45,7 +45,14 @@ bool IsDisconnect(const Status& status) {
 
 IngestServer::IngestServer(serve::MonitorFleet* fleet, std::ostream* verdicts,
                            IngestServerOptions options)
-    : fleet_(fleet), verdicts_(verdicts), options_(std::move(options)) {}
+    : fleet_(fleet), verdicts_(verdicts), options_(std::move(options)) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Shared();
+  sessions_counter_ = &registry.GetCounter("net.ingest_sessions");
+  ticks_counter_ = &registry.GetCounter("net.ingest_ticks");
+  samples_counter_ = &registry.GetCounter("net.ingest_samples");
+  rejects_counter_ = &registry.GetCounter("net.ingest_rejects");
+  errors_counter_ = &registry.GetCounter("net.ingest_errors");
+}
 
 IngestServer::~IngestServer() { Stop(); }
 
@@ -123,8 +130,7 @@ void IngestServer::RunSession(int fd) {
       const std::string err =
           busy_ ? "busy: another ingest session is active"
                 : "done: an ingest session already completed";
-      obs::MetricsRegistry::Shared().GetCounter("net.ingest_errors")
-          .Increment();
+      errors_counter_->Increment();
       if (binary) {
         WriteAll(fd, EncodeErr(err));
       } else {
@@ -134,7 +140,7 @@ void IngestServer::RunSession(int fd) {
     }
     busy_ = true;
   }
-  obs::MetricsRegistry::Shared().GetCounter("net.ingest_sessions").Increment();
+  sessions_counter_->Increment();
 
   Session session;
   if (binary) {
@@ -149,21 +155,21 @@ void IngestServer::RunSession(int fd) {
 
 void IngestServer::RunBinarySession(int fd, Session* session) {
   const auto fail = [&](const std::string& message) {
-    obs::MetricsRegistry::Shared().GetCounter("net.ingest_errors").Increment();
+    errors_counter_->Increment();
     WriteAll(fd, EncodeErr(message));
   };
+  Frame& frame = session->frame;
   for (;;) {
-    Result<Frame> frame = ReadFrame(fd, options_.max_frame_bytes);
-    if (!frame.ok()) {
+    const Status read = ReadFrameInto(fd, options_.max_frame_bytes, &frame);
+    if (!read.ok()) {
       // Mid-frame disconnect gets no reply (nobody is listening); a parse
       // error (oversized / zero-length frame) gets a strict ERR first.
-      if (!IsDisconnect(frame.status())) fail(frame.status().message());
+      if (!IsDisconnect(read)) fail(read.message());
       return;
     }
-    switch (frame.value().type) {
+    switch (frame.type) {
       case FrameType::kHello: {
-        Result<std::vector<HelloEntry>> entries =
-            DecodeHello(frame.value().payload);
+        Result<std::vector<HelloEntry>> entries = DecodeHello(frame.payload);
         if (!entries.ok()) return fail(entries.status().message());
         Result<std::vector<serve::MonitorHandle>> handles =
             OnHello(session, entries.value());
@@ -172,7 +178,7 @@ void IngestServer::RunBinarySession(int fd, Session* session) {
         break;
       }
       case FrameType::kJob: {
-        if (!frame.value().payload.empty()) {
+        if (!frame.payload.empty()) {
           return fail("JOB frame carries no payload");
         }
         const Status status = OnJob(session);
@@ -181,16 +187,15 @@ void IngestServer::RunBinarySession(int fd, Session* session) {
         break;
       }
       case FrameType::kTick: {
-        Result<std::vector<serve::TickSample>> samples =
-            DecodeTick(frame.value().payload);
-        if (!samples.ok()) return fail(samples.status().message());
-        Result<TickOutcome> outcome = OnTick(session, samples.value());
+        const Status decoded = DecodeTickInto(frame.payload, &session->batch);
+        if (!decoded.ok()) return fail(decoded.message());
+        Result<TickOutcome> outcome = OnTick(session, session->batch);
         if (!outcome.ok()) return fail(outcome.status().message());
         if (!WriteAll(fd, EncodeTickReply(outcome.value()))) return;
         break;
       }
       case FrameType::kEndJob: {
-        if (!frame.value().payload.empty()) {
+        if (!frame.payload.empty()) {
           return fail("ENDJOB frame carries no payload");
         }
         Result<uint32_t> alarms = OnEndJob(session);
@@ -208,7 +213,7 @@ void IngestServer::RunBinarySession(int fd, Session* session) {
       }
       default:
         return fail("unexpected frame type " +
-                    std::to_string(static_cast<int>(frame.value().type)));
+                    std::to_string(static_cast<int>(frame.type)));
     }
   }
 }
@@ -216,7 +221,7 @@ void IngestServer::RunBinarySession(int fd, Session* session) {
 void IngestServer::RunTextSession(int fd, LineReader* reader,
                                   Session* session) {
   const auto fail = [&](const std::string& message) {
-    obs::MetricsRegistry::Shared().GetCounter("net.ingest_errors").Increment();
+    errors_counter_->Increment();
     WriteAll(fd, "ERR " + message + "\n");
   };
   std::string line;
@@ -260,16 +265,15 @@ void IngestServer::RunTextSession(int fd, LineReader* reader,
         return fail("bad TICK count '" + tokens[1] + "' (max " +
                     std::to_string(max_samples) + ")");
       }
-      std::vector<serve::TickSample> samples;
-      samples.reserve(static_cast<size_t>(count));
-      for (long i = 0; i < count; ++i) {
+      session->batch.resize(static_cast<size_t>(count));
+      for (serve::TickSample& sample : session->batch) {
         std::string sample_line;
         if (!reader->ReadLine(&sample_line)) return;  // disconnect mid-tick
-        Result<serve::TickSample> sample = ParseSampleLine(sample_line);
-        if (!sample.ok()) return fail(sample.status().message());
-        samples.push_back(std::move(sample.value()));
+        Result<serve::TickSample> parsed = ParseSampleLine(sample_line);
+        if (!parsed.ok()) return fail(parsed.status().message());
+        sample = std::move(parsed.value());
       }
-      Result<TickOutcome> outcome = OnTick(session, samples);
+      Result<TickOutcome> outcome = OnTick(session, session->batch);
       if (!outcome.ok()) return fail(outcome.status().message());
       const std::string verb =
           outcome.value().rejected == 0 ? "OK" : "BACKPRESSURE";
@@ -346,13 +350,11 @@ Result<TickOutcome> IngestServer::OnTick(
   // so a strict ERR-and-close here never corrupts monitor state.
   Result<serve::TickSummary> summary = fleet_->IngestTick(samples);
   if (!summary.ok()) return summary.status();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Shared();
-  registry.GetCounter("net.ingest_ticks").Increment();
-  registry.GetCounter("net.ingest_samples")
-      .Increment(static_cast<uint64_t>(summary.value().samples));
+  ticks_counter_->Increment();
+  samples_counter_->Increment(static_cast<uint64_t>(summary.value().samples));
   if (summary.value().rejected > 0) {
-    registry.GetCounter("net.ingest_rejects")
-        .Increment(static_cast<uint64_t>(summary.value().rejected));
+    rejects_counter_->Increment(
+        static_cast<uint64_t>(summary.value().rejected));
   }
   return TickOutcome{static_cast<uint32_t>(summary.value().samples),
                      static_cast<uint32_t>(summary.value().rejected)};

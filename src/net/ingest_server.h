@@ -13,6 +13,7 @@
 #include "net/frame.h"
 #include "net/socket_server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "serve/fleet.h"
 #include "serve/replay.h"
 
@@ -105,12 +106,17 @@ class IngestServer {
  private:
   // One connection's session state, shared by both dialects. Verdicts
   // render into the private buffer; OnBye flushes it to the shared sink so
-  // sessions that die without BYE leave no partial blocks behind.
+  // sessions that die without BYE leave no partial blocks behind. `frame`
+  // (binary dialect) and `batch` are reused by every frame and TICK of the
+  // session, so a steady tick stream reads and decodes without allocating;
+  // both are bounded by max_frame_bytes and freed when the session ends.
   struct Session {
     std::vector<serve::ArmedContext> armed;
     int run = 0;
     uint64_t total_alarms = 0;
     std::ostringstream verdicts;
+    Frame frame;
+    std::vector<serve::TickSample> batch;
   };
 
   // Registers the connection for shutdown teardown, then runs RunSession.
@@ -133,6 +139,13 @@ class IngestServer {
   std::ostream* verdicts_;
   IngestServerOptions options_;
   SocketServer server_;
+
+  // net.ingest_* counters, bound once at construction.
+  obs::Counter* sessions_counter_ = nullptr;
+  obs::Counter* ticks_counter_ = nullptr;
+  obs::Counter* samples_counter_ = nullptr;
+  obs::Counter* rejects_counter_ = nullptr;
+  obs::Counter* errors_counter_ = nullptr;
 
   // Serializes sessions and every fleet call; completed_ / done_ hand the
   // finished session's stats to WaitForSession.

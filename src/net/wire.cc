@@ -31,15 +31,19 @@ bool WriteAll(int fd, const std::string& data) {
 }
 
 bool ReadFull(int fd, void* data, size_t len) {
+  return len == 0 || ReadAtLeast(fd, data, len, len) == len;
+}
+
+size_t ReadAtLeast(int fd, void* data, size_t min_len, size_t max_len) {
   char* bytes = static_cast<char*>(data);
   size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::recv(fd, bytes + off, len - off, 0);
+  while (off < min_len) {
+    const ssize_t n = ::recv(fd, bytes + off, max_len - off, 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;  // EOF, timeout, or reset
+    if (n <= 0) return 0;  // EOF, timeout, or reset
     off += static_cast<size_t>(n);
   }
-  return true;
+  return off;
 }
 
 bool LineReader::ReadLine(std::string* line) {

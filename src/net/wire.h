@@ -17,6 +17,11 @@ bool WriteAll(int fd, const std::string& data);
 // Reads exactly `len` bytes; false on EOF, error, or timeout.
 bool ReadFull(int fd, void* data, size_t len);
 
+// Reads at least `min_len` (> 0) and at most `max_len` bytes, taking what
+// each recv returns; the count read, or 0 on EOF, error, or timeout before
+// `min_len` bytes arrived.
+size_t ReadAtLeast(int fd, void* data, size_t min_len, size_t max_len);
+
 // Buffered newline-delimited reader for the text dialects (ingest text
 // protocol, protocol sniffing). Strips the trailing "\n" (and "\r" before
 // it); a line longer than max_line_bytes is an error, not a partial line.

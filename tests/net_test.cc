@@ -1,9 +1,11 @@
 // Tests for the TCP ingest front end (src/net): frame codec round trips and
-// strict decode errors, oversized / truncated / mid-frame-disconnect wire
-// handling, full loopback sessions in both dialects, protocol errors (ERR +
-// close), one-session-at-a-time busy rejection, deterministic socket
-// backpressure, byte-identical verdicts across shard x thread configs, and
-// an xmlstore-fuzz-style random-bytes harness against the listener.
+// strict decode errors, a golden TICK layout, buffer-reusing encode / read /
+// decode (bit-identical to the fresh codec and allocation-free once warm),
+// oversized / truncated / mid-frame-disconnect wire handling, full loopback
+// sessions in both dialects, protocol errors (ERR + close),
+// one-session-at-a-time busy rejection, deterministic socket backpressure,
+// byte-identical verdicts across shard x thread configs, and an
+// xmlstore-fuzz-style random-bytes harness against the listener.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -29,8 +32,14 @@
 #include "serve/fleet.h"
 #include "serve/replay.h"
 
+// Replaces the global allocation functions; this is net_test's only
+// translation unit.
+#include "alloc_counter.h"
+
 namespace invarnetx {
 namespace {
+
+using testing_alloc::HeapAllocations;
 
 using core::InvarNetX;
 using core::OperationContext;
@@ -88,6 +97,38 @@ bool BitsEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// `count` samples whose handles and doubles are arbitrary bit patterns (NaN
+// payloads, denormals and negative zero among them): the codec must carry
+// raw bits, not values.
+std::vector<TickSample> RandomBatch(size_t count, std::mt19937_64* rng) {
+  std::vector<TickSample> samples(count);
+  for (TickSample& sample : samples) {
+    sample.monitor = static_cast<MonitorHandle>((*rng)());
+    const uint64_t cpi_bits = (*rng)();
+    std::memcpy(&sample.cpi, &cpi_bits, sizeof(double));
+    for (double& metric : sample.metrics) {
+      const uint64_t bits = (*rng)();
+      std::memcpy(&metric, &bits, sizeof(double));
+    }
+  }
+  return samples;
+}
+
+// Whether two batches agree bit for bit, contexts included.
+bool SameBits(const std::vector<TickSample>& a,
+              const std::vector<TickSample>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i].context == b[i].context) || a[i].monitor != b[i].monitor ||
+        !BitsEqual(a[i].cpi, b[i].cpi) ||
+        std::memcmp(a[i].metrics.data(), b[i].metrics.data(),
+                    sizeof(a[i].metrics)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Codec unit tests (no sockets).
 // ---------------------------------------------------------------------------
@@ -141,6 +182,143 @@ TEST(FrameCodecTest, TickRoundTripIsBitExact) {
                             samples[i].metrics[static_cast<size_t>(m)]));
     }
   }
+}
+
+// Round trips alone would still pass if the encoder and the decoder changed
+// together; this pins the little-endian layout of one TICK frame.
+TEST(FrameCodecTest, TickFrameMatchesGoldenBytes) {
+  TickSample sample;
+  sample.monitor = -2;
+  sample.cpi = -0.0;
+  sample.metrics[1] = 5e-324;  // smallest denormal: bit pattern 1
+  std::string golden(
+      "\xe1\x00\x00\x00"                   // length 225: type + payload
+      "\x03"                               // TICK
+      "\x01\x00\x00\x00"                   // 1 sample
+      "\xfe\xff\xff\xff"                   // handle -2
+      "\x00\x00\x00\x00\x00\x00\x00\x80",  // cpi -0.0
+      21);
+  golden += std::string(8, '\0');                                // metric 0
+  golden += std::string("\x01\x00\x00\x00\x00\x00\x00\x00", 8);  // metric 1
+  golden += std::string(24 * 8, '\0');                           // 2..25
+  ASSERT_EQ(golden.size(), 5 + 4 + net::kBinarySampleBytes);
+
+  EXPECT_EQ(net::EncodeTick({sample}), golden);
+  std::string reused(1000, 'x');  // a longer frame sent earlier
+  net::EncodeTickInto({sample}, &reused);
+  EXPECT_EQ(reused, golden);
+
+  const auto decoded = net::DecodeTick(std::string_view(golden).substr(5));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(SameBits(decoded.value(), {sample}));
+}
+
+// The client's frame buffer, a session's Frame and its sample batch are
+// each reused for every TICK. Across batches that shrink, grow and empty,
+// and a lying-count payload that must fail without touching the batch,
+// every reused encode is byte-identical to a fresh EncodeTick and every
+// reused decode bit-identical to a fresh DecodeTick.
+TEST(FrameCodecTest, ReusedBuffersMatchFreshCodec) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::mt19937_64 rng(20261019);
+  std::string frame;
+  Frame read;
+  std::vector<TickSample> batch(8);  // longer than any batch below
+
+  for (const size_t count : {3u, 1u, 5u, 0u}) {
+    SCOPED_TRACE(std::to_string(count) + " samples");
+    const std::vector<TickSample> samples = RandomBatch(count, &rng);
+    net::EncodeTickInto(samples, &frame);
+    EXPECT_EQ(frame, net::EncodeTick(samples));
+    ASSERT_TRUE(net::WriteAll(fds[0], frame));
+    ASSERT_TRUE(
+        net::ReadFrameInto(fds[1], net::kDefaultMaxFramePayload, &read).ok());
+    EXPECT_EQ(read.type, FrameType::kTick);
+    EXPECT_EQ(read.payload, frame.substr(5));
+    ASSERT_TRUE(net::DecodeTickInto(read.payload, &batch).ok());
+    const auto fresh = net::DecodeTick(std::string_view(frame).substr(5));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_TRUE(SameBits(batch, fresh.value()));
+    EXPECT_TRUE(SameBits(batch, samples));
+
+    if (count == 5) {
+      // Claims 2 samples, ships 1: an error, and the batch keeps the 5.
+      std::string lying = net::EncodeTick(RandomBatch(1, &rng));
+      lying[5] = 2;
+      ASSERT_TRUE(net::WriteAll(fds[0], lying));
+      ASSERT_TRUE(
+          net::ReadFrameInto(fds[1], net::kDefaultMaxFramePayload, &read)
+              .ok());
+      EXPECT_FALSE(net::DecodeTickInto(read.payload, &batch).ok());
+      EXPECT_FALSE(net::DecodeTick(read.payload).ok());
+      EXPECT_TRUE(SameBits(batch, samples));
+    }
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// Once warmed up on a same-size batch, the buffer-reusing TICK path - encode
+// into the client's buffer, ReadFrameInto the session's Frame over a
+// socket, decode into its batch - makes no heap allocation.
+TEST(FrameCodecTest, ReusedTickBuffersDoNotAllocate) {
+  constexpr size_t kSamples = 2000;
+  constexpr int kRounds = 4;  // round 0 warms the buffers up
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::mt19937_64 rng(7);
+  std::vector<std::vector<TickSample>> batches;
+  for (int r = 0; r < kRounds; ++r) {
+    batches.push_back(RandomBatch(kSamples, &rng));
+  }
+  std::string frame;
+  Frame read;
+  std::vector<TickSample> batch;
+
+  // A 440 KB frame outgrows the socket buffer, so a second thread writes
+  // while this one reads. It starts, and every result is checked, outside
+  // the counted spans.
+  std::atomic<int> requested{0};
+  std::atomic<int> sent{0};
+  bool write_ok[kRounds] = {};
+  std::thread writer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      while (requested.load(std::memory_order_acquire) <= r) {
+        std::this_thread::yield();
+      }
+      write_ok[r] = net::WriteAll(fds[0], frame.data(), frame.size());
+      sent.store(r + 1, std::memory_order_release);
+    }
+  });
+  uint64_t allocations[kRounds] = {};
+  bool read_ok[kRounds] = {};
+  bool decode_ok[kRounds] = {};
+  for (int r = 0; r < kRounds; ++r) {
+    const uint64_t before = HeapAllocations();
+    net::EncodeTickInto(batches[static_cast<size_t>(r)], &frame);
+    requested.store(r + 1, std::memory_order_release);
+    read_ok[r] =
+        net::ReadFrameInto(fds[1], net::kDefaultMaxFramePayload, &read).ok();
+    decode_ok[r] = net::DecodeTickInto(read.payload, &batch).ok();
+    allocations[r] = HeapAllocations() - before;
+    // A failed read would leave the writer blocked on a full socket.
+    if (!read_ok[r]) ::shutdown(fds[1], SHUT_RDWR);
+    while (sent.load(std::memory_order_acquire) <= r) {
+      std::this_thread::yield();
+    }
+  }
+  writer.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_TRUE(write_ok[r] && read_ok[r] && decode_ok[r]) << "round " << r;
+    if (r > 0) {
+      EXPECT_EQ(allocations[r], 0u) << "round " << r;
+    }
+  }
+  EXPECT_TRUE(SameBits(batch, batches.back()));
 }
 
 TEST(FrameCodecTest, TickReplyPicksBackpressureType) {
@@ -297,14 +475,14 @@ TEST(FrameCodecTest, SampleLineRejectsMalformedLines) {
 // ---------------------------------------------------------------------------
 
 // One trained pipeline shared by the session tests: contexts for slaves 1
-// and 2, with the cpu-hog signature taught to slave 1 (the fault victim).
+// to 4, with the cpu-hog signature taught to slave 1 (the fault victim).
 class IngestSessionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     pipeline_ = new InvarNetX();
     auto normal = core::SimulateNormalRuns(WorkloadType::kWordCount, 8, 42);
     ASSERT_TRUE(normal.ok());
-    for (int node = 1; node <= 2; ++node) {
+    for (int node = 1; node <= 4; ++node) {
       ASSERT_TRUE(pipeline_
                       ->TrainContext(Context(node), normal.value(),
                                      static_cast<size_t>(node))
@@ -407,6 +585,76 @@ TEST_F(IngestSessionTest, BinarySessionMatchesInProcessVerdicts) {
   EXPECT_NE(verdicts.str().find("10.0.0.2: ALARM"), std::string::npos)
       << verdicts.str();
   EXPECT_NE(verdicts.str().find("cpu-hog"), std::string::npos);
+}
+
+// A session decodes every TICK into one batch it keeps, so a tick shorter
+// than the one before must shrink it. Ticks alternate 4 samples (slaves
+// 1-4) and 2 (slaves 1-2): the server must accept 4, 2, 4, ... and render
+// the verdicts of an in-process fleet fed the same ticks - a replayed tail
+// would be accepted as 4 and observed twice.
+TEST_F(IngestSessionTest, ShorterTickNeverReplaysAnEarlierTail) {
+  FleetConfig config;
+  config.threads = 1;
+  config.shards = 1;
+  const size_t ticks = faulty_->nodes[1].cpi.size();
+  const auto tick_samples = [](const std::vector<MonitorHandle>& handles,
+                               size_t t) {
+    std::vector<TickSample> samples;
+    const int nodes = t % 2 == 0 ? 4 : 2;
+    for (int node = 1; node <= nodes; ++node) {
+      samples.push_back(SampleAt(*faulty_, node,
+                                 handles[static_cast<size_t>(node - 1)], t));
+    }
+    return samples;
+  };
+
+  std::string expected;
+  {
+    MonitorFleet fleet(pipeline_, config);
+    std::vector<serve::ArmedContext> armed;
+    std::vector<MonitorHandle> handles;
+    for (int node = 1; node <= 4; ++node) {
+      auto handle = fleet.StartJob(Context(node));
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      armed.push_back(serve::ArmedContext{Context(node), handle.value()});
+      handles.push_back(handle.value());
+    }
+    for (size_t t = 0; t < ticks; ++t) {
+      ASSERT_TRUE(fleet.IngestTick(tick_samples(handles, t)).ok());
+    }
+    fleet.WaitForDiagnoses();
+    std::ostringstream out;
+    out << "== run 0 ==\n";
+    serve::RenderVerdicts(fleet, armed, fleet.TakeDiagnoses(), &out);
+    expected = out.str();
+  }
+
+  MonitorFleet fleet(pipeline_, config);
+  std::ostringstream verdicts;
+  IngestServer server(&fleet, &verdicts, {});
+  ASSERT_TRUE(server.Start().ok());
+  IngestClientOptions options;
+  options.port = server.port();
+  IngestClient client(options);
+  ASSERT_TRUE(client.Connect().ok());
+  std::vector<HelloEntry> entries;
+  for (int node = 1; node <= 4; ++node) {
+    entries.push_back({"wordcount", Context(node).node_ip});
+  }
+  auto handles = client.Hello(entries);
+  ASSERT_TRUE(handles.ok()) << handles.status().ToString();
+  ASSERT_TRUE(client.StartJob().ok());
+  for (size_t t = 0; t < ticks; ++t) {
+    auto outcome = client.Tick(tick_samples(handles.value(), t));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.value().accepted, t % 2 == 0 ? 4u : 2u) << "tick " << t;
+    EXPECT_EQ(outcome.value().rejected, 0u);
+  }
+  ASSERT_TRUE(client.EndJob().ok());
+  ASSERT_TRUE(client.Bye().ok());
+  EXPECT_TRUE(server.WaitForSession().completed);
+  server.Stop();
+  EXPECT_EQ(verdicts.str(), expected);
 }
 
 TEST_F(IngestSessionTest, TextSessionMatchesBinarySession) {
