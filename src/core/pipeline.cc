@@ -378,6 +378,10 @@ Result<DiagnosisReport> InvarNetX::InferCauseForNode(
 
 Result<DiagnosisReport> InvarNetX::InferCauseForModel(
     const ContextModel& model, const telemetry::NodeTrace& node) const {
+  // Every inference path funnels through here, including served windows,
+  // whose samples no trace-input check has seen: a non-finite sample would
+  // otherwise reach the MIC sort, whose comparator is no ordering on NaN.
+  INVARNETX_RETURN_IF_ERROR(ValidateNode(node, "InferCause"));
   obs::Span infer_span("infer_cause");
   const AssociationScoreCache& cache = AssociationScoreCache::Shared();
   const uint64_t hits_before = cache.hits();

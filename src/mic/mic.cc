@@ -159,6 +159,33 @@ double RowEntropy(const std::vector<int>& row_of_point, int num_rows,
   return h;
 }
 
+namespace {
+
+// Start of row np in the triangular term table.
+size_t TermRow(int np) {
+  return static_cast<size_t>(np) * (static_cast<size_t>(np) + 1) / 2;
+}
+
+// Appends the term-table rows up to min(points, kTermTableMaxPoints). Each
+// entry is the exact expression the reference kernel evaluates inline, so a
+// table lookup returns the same bits; entry 0 is +0.0 where the reference
+// skips the term instead.
+void GrowTermTable(int points, MicWorkspace* workspace) {
+  const int max_np = std::min(points, kTermTableMaxPoints);
+  if (max_np <= workspace->terms_max_np) return;
+  workspace->terms.resize(TermRow(max_np + 1));
+  for (int np = workspace->terms_max_np + 1; np <= max_np; ++np) {
+    double* row = workspace->terms.data() + TermRow(np);
+    row[0] = 0.0;
+    for (int npq = 1; npq <= np; ++npq) {
+      row[npq] = npq * std::log(static_cast<double>(npq) / np);
+    }
+  }
+  workspace->terms_max_np = max_np;
+}
+
+}  // namespace
+
 void OptimizeXAxis(const std::vector<int>& boundaries,
                    const std::vector<int>& row_in_x_order, int num_rows,
                    int max_cols, MicWorkspace* workspace,
@@ -192,9 +219,15 @@ void OptimizeXAxis(const std::vector<int>& boundaries,
   //
   // The table is t-major - col_score[t * stride + s] - so the DP's inner
   // reduction over s streams one contiguous row per t; that layout is what
-  // lets DpRowMax run in vector lanes. The ln-bearing build itself must
-  // stay scalar: vector math libraries do not promise the correctly-rounded
-  // std::log these bits were defined by.
+  // lets DpRowMax run in vector lanes.
+  //
+  // Each term n_pq ln(n_pq / n_p) is read from the workspace's term table,
+  // so a column score is a branch-free sum of table entries in q order. An
+  // empty cell adds the table's +0.0 where the reference adds nothing; the
+  // running sum is never -0.0 (see SimdLevel), so that leaves it
+  // bit-identical. Columns wider than the table evaluate the term inline.
+  GrowTermTable(boundaries[k], workspace);
+  const double* terms = workspace->terms.data();
   const size_t stride = static_cast<size_t>(k) + 1;
   workspace->col_score.resize(stride * stride);
   for (int t = 1; t <= k; ++t) {
@@ -204,7 +237,10 @@ void OptimizeXAxis(const std::vector<int>& boundaries,
       const int np = boundaries[t] - boundaries[s];
       const int* cum_s = cum + static_cast<size_t>(s) * rows;
       double acc = 0.0;
-      if (np != 0) {
+      if (np <= kTermTableMaxPoints) {
+        const double* term = terms + TermRow(np);
+        for (int q = 0; q < rows; ++q) acc += term[cum_t[q] - cum_s[q]];
+      } else {
         for (int q = 0; q < rows; ++q) {
           const int npq = cum_t[q] - cum_s[q];
           if (npq > 0) acc += npq * std::log(static_cast<double>(npq) / np);

@@ -53,16 +53,23 @@ struct ClumpPartition {
   std::vector<int> row_in_x_order;  // Q row of the t-th point in x order
 };
 
+// Widest column (in points) whose npq * ln(npq / np) terms come from the
+// workspace's term table; wider columns evaluate the term inline. 256 is
+// FleetConfig::window_capacity's default, so every served window is covered.
+inline constexpr int kTermTableMaxPoints = 256;
+
 }  // namespace internal
 
 // Reusable scratch memory for the MIC kernel. Every buffer the grid search
 // needs - axis sort orders, the y-partition, clump edges, the flat DP
-// tables, and the dense characteristic matrix - lives here and is resized
-// (never shrunk) per call, so a warm workspace makes Mic() perform zero
-// heap allocations in steady state. Buffers grow to the high-water mark of
-// the series lengths seen; for B = grid_bound(n) the dense characteristic
-// matrix costs (B/2 + 1)^2 doubles (~43 KB at n = 4096), the column-score
-// table (c * B/2 + 1)^2 doubles.
+// tables, the term table and the dense characteristic matrix - lives here
+// and is resized (never shrunk) per call, so a warm workspace makes Mic()
+// perform zero heap allocations in steady state. Buffers grow to the
+// high-water mark of the series lengths seen; for B = grid_bound(n) the
+// dense characteristic matrix costs (B/2 + 1)^2 doubles (~43 KB at
+// n = 4096), the column-score table (c * B/2 + 1)^2 doubles, and the term
+// table (m + 1)(m + 2)/2 doubles for m = min(n, kTermTableMaxPoints):
+// ~17 KB at n = 64, at most ~265 KB.
 //
 // A workspace is NOT thread-safe: use one instance per thread. The mining
 // fan-out keeps one per pool worker via ThreadLocalInstance<MicWorkspace>()
@@ -86,6 +93,13 @@ struct MicWorkspace {
                                      // clump interval (s, t], so the DP's
                                      // per-t reduction over s is contiguous
                                      // (the layout mic/simd.h lanes read)
+  std::vector<double> terms;         // triangular term table: row np (at
+                                     // np * (np + 1) / 2) holds, for
+                                     // npq = 0..np, 0.0 and then
+                                     // npq * ln(npq / np); its values do not
+                                     // depend on the series, so rows are
+                                     // only ever appended
+  int terms_max_np = -1;             // last row held in `terms`
   std::vector<double> dp;            // DP tables of OptimizeXAxis
   std::vector<double> next;
   std::vector<double> best;

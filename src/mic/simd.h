@@ -9,9 +9,12 @@ namespace invarnetx::mic {
 // candidate values are never NaN and never -0.0 (column scores are sums of
 // npq*ln(npq/np) terms - each +0.0 or strictly negative - and IEEE addition
 // of such values cannot produce a negative zero), so equal candidates have
-// identical bit patterns and any max order picks the same bits. Loops whose
-// result depends on evaluation order (the ln-bearing column-score build)
-// stay scalar at every tier.
+// identical bit patterns and any max order picks the same bits. The same
+// fact lets the column-score build read its terms from MicWorkspace's term
+// table, which stores +0.0 for an empty cell the reference skips: adding
+// +0.0 to a sum that is never -0.0 leaves its bits unchanged. That build
+// still sums in q order and stays scalar at every tier, since reordering
+// the sum could change bytes.
 enum class SimdLevel {
   kScalar,  // portable fallback, also the NEON baseline layout
   kAvx2,    // 4-wide double lanes (x86-64 with AVX2)

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,32 +341,73 @@ TEST(OptimizeXAxisTest, PerfectSeparationRecoversFullMi) {
 // -------------------------------------------- workspace kernel exactness --
 
 // Field-by-field exact comparison: the workspace kernel must reproduce the
-// reference (allocating, map-backed) kernel bit for bit, not approximately.
+// reference (allocating, map-backed) kernel bit for bit, not approximately,
+// so doubles are compared by bit pattern (EXPECT_DOUBLE_EQ allows 4 ULPs).
 void ExpectExactlyEqual(const MicResult& got, const MicResult& want,
                         const std::string& label) {
-  EXPECT_DOUBLE_EQ(got.mic, want.mic) << label;
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(got.mic), bits(want.mic))
+      << label << " mic " << got.mic << " vs " << want.mic;
   EXPECT_EQ(got.best_x, want.best_x) << label;
   EXPECT_EQ(got.best_y, want.best_y) << label;
-  EXPECT_DOUBLE_EQ(got.mev, want.mev) << label;
-  EXPECT_DOUBLE_EQ(got.mcn, want.mcn) << label;
-  EXPECT_DOUBLE_EQ(got.mas, want.mas) << label;
+  EXPECT_EQ(bits(got.mev), bits(want.mev))
+      << label << " mev " << got.mev << " vs " << want.mev;
+  EXPECT_EQ(bits(got.mcn), bits(want.mcn))
+      << label << " mcn " << got.mcn << " vs " << want.mcn;
+  EXPECT_EQ(bits(got.mas), bits(want.mas))
+      << label << " mas " << got.mas << " vs " << want.mas;
+}
+
+// A pair of n-point series; `shape` picks smooth (0), x quantized (1),
+// y quantized (2), heavily tied (3: both axes take at most 3 values), or
+// two-valued x (4: one tie run over the first kTermTableMaxPoints points, so
+// for longer series the x axis has a clump exactly as wide as the term
+// table's last row, and y takes at most 3 values).
+void MakeSeries(int n, int shape, Rng* rng, std::vector<double>* x,
+                std::vector<double>* y) {
+  x->clear();
+  y->clear();
+  for (int i = 0; i < n; ++i) {
+    const double vx = rng->Gaussian(0, 1);
+    const double vy = 0.5 * vx * vx + rng->Gaussian(0, 0.4);
+    switch (shape) {
+      case 1:
+        x->push_back(std::floor(4.0 * vx) / 4.0);
+        y->push_back(vy);
+        break;
+      case 2:
+        x->push_back(vx);
+        y->push_back(std::floor(3.0 * vy) / 3.0);
+        break;
+      case 3:
+        x->push_back(std::clamp(std::round(vx), -1.0, 1.0));
+        y->push_back(std::clamp(std::floor(vy), 0.0, 2.0));
+        break;
+      case 4:
+        x->push_back(i < internal::kTermTableMaxPoints ? 0.0 : 1.0);
+        y->push_back(std::clamp(std::floor(vy), 0.0, 2.0));
+        break;
+      default:
+        x->push_back(vx);
+        y->push_back(vy);
+    }
+  }
 }
 
 TEST(MicWorkspaceTest, BitIdenticalToReferenceAcrossRandomSeries) {
   // One workspace reused across every call: later inputs see buffers dirtied
-  // by earlier ones, which must never leak into results. Covers smooth,
-  // heavily tied (quantized), and mixed-length series.
+  // by earlier ones, which must never leak into results. Lengths run longer
+  // -> shorter -> longer, so the term table grows from a non-empty state and
+  // shorter series read rows a longer one appended; n = kMax fills the
+  // table exactly and longer series put columns past it. Covers smooth,
+  // quantized and heavily tied series.
+  constexpr int kMax = internal::kTermTableMaxPoints;
   MicWorkspace workspace;
   Rng rng(0xE4AC7);
-  for (int n : {30, 64, 100, 257}) {
-    for (int trial = 0; trial < 6; ++trial) {
+  for (int n : {64, 30, kMax + 1, 100, kMax, kMax + 44, 31}) {
+    for (int trial = 0; trial < 10; ++trial) {
       std::vector<double> x, y;
-      for (int i = 0; i < n; ++i) {
-        const double vx = rng.Gaussian(0, 1);
-        x.push_back(trial % 3 == 1 ? std::floor(4.0 * vx) / 4.0 : vx);
-        const double vy = 0.5 * vx * vx + rng.Gaussian(0, 0.4);
-        y.push_back(trial % 3 == 2 ? std::floor(3.0 * vy) / 3.0 : vy);
-      }
+      MakeSeries(n, trial % 5, &rng, &x, &y);
       const Result<MicResult> fast = Mic(x, y, MicOptions(), &workspace);
       const Result<MicResult> reference = MicReference(x, y);
       ASSERT_TRUE(fast.ok());
@@ -448,23 +491,24 @@ TEST(MicSimdTest, EveryTierBitIdenticalToReference) {
   // (and both to the allocating reference kernel): the max over
   // dp[s] + col_score[t][s] is order-independent because no candidate is
   // NaN or -0.0, so lane-parallel evaluation cannot change the result.
+  constexpr int kMax = internal::kTermTableMaxPoints;
   MicWorkspace workspace;
   Rng rng(0x51D);
-  for (int n : {30, 100, 257}) {
-    std::vector<double> x, y;
-    for (int i = 0; i < n; ++i) {
-      x.push_back(rng.Gaussian(0, 1));
-      y.push_back(0.6 * x.back() * x.back() + rng.Gaussian(0, 0.4));
+  for (int n : {30, 100, kMax, kMax + 1}) {
+    for (int shape : {0, 3, 4}) {  // smooth, heavily tied, two-valued x
+      std::vector<double> x, y;
+      MakeSeries(n, shape, &rng, &x, &y);
+      const Result<MicResult> reference = MicReference(x, y);
+      ASSERT_TRUE(reference.ok());
+      ForEachSimdLevel([&](SimdLevel level) {
+        const Result<MicResult> got = Mic(x, y, MicOptions(), &workspace);
+        ASSERT_TRUE(got.ok());
+        ExpectExactlyEqual(got.value(), reference.value(),
+                           std::string("n=") + std::to_string(n) + " shape " +
+                               std::to_string(shape) + " level " +
+                               SimdLevelName(level));
+      });
     }
-    const Result<MicResult> reference = MicReference(x, y);
-    ASSERT_TRUE(reference.ok());
-    ForEachSimdLevel([&](SimdLevel level) {
-      const Result<MicResult> got = Mic(x, y, MicOptions(), &workspace);
-      ASSERT_TRUE(got.ok());
-      ExpectExactlyEqual(got.value(), reference.value(),
-                         std::string("n=") + std::to_string(n) + " level " +
-                             SimdLevelName(level));
-    });
   }
 }
 

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -508,17 +509,17 @@ class IngestSessionTest : public ::testing::Test {
     faulty_ = nullptr;
   }
 
-  // Streams the shared faulty trace through a connected client as one job
+  // Streams `run` (slaves 1 and 2) through a connected client as one job
   // and returns the EndJob alarm count.
-  static uint32_t StreamFaultyRun(IngestClient* client) {
+  static uint32_t StreamRun(IngestClient* client,
+                            const telemetry::RunTrace& run) {
     auto handles = client->Hello(
         {{"wordcount", Context(1).node_ip}, {"wordcount", Context(2).node_ip}});
     EXPECT_TRUE(handles.ok()) << handles.status().ToString();
     EXPECT_TRUE(client->StartJob().ok());
-    for (size_t t = 0; t < faulty_->nodes[1].cpi.size(); ++t) {
-      auto outcome = client->Tick(
-          {SampleAt(*faulty_, 1, handles.value()[0], t),
-           SampleAt(*faulty_, 2, handles.value()[1], t)});
+    for (size_t t = 0; t < run.nodes[1].cpi.size(); ++t) {
+      auto outcome = client->Tick({SampleAt(run, 1, handles.value()[0], t),
+                                   SampleAt(run, 2, handles.value()[1], t)});
       EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
       EXPECT_EQ(outcome.value().accepted, 2u);
       EXPECT_EQ(outcome.value().rejected, 0u);
@@ -572,7 +573,7 @@ TEST_F(IngestSessionTest, BinarySessionMatchesInProcessVerdicts) {
   options.port = server.port();
   IngestClient client(options);
   ASSERT_TRUE(client.Connect().ok());
-  const uint32_t alarms = StreamFaultyRun(&client);
+  const uint32_t alarms = StreamRun(&client, *faulty_);
   EXPECT_GE(alarms, 1u);
 
   const net::SessionStats stats = server.WaitForSession();
@@ -673,7 +674,7 @@ TEST_F(IngestSessionTest, TextSessionMatchesBinarySession) {
     options.text = text;
     IngestClient client(options);
     ASSERT_TRUE(client.Connect().ok());
-    StreamFaultyRun(&client);
+    StreamRun(&client, *faulty_);
     EXPECT_TRUE(server.WaitForSession().completed);
     server.Stop();
     (text ? text_verdicts : binary_verdicts) = verdicts.str();
@@ -699,7 +700,7 @@ TEST_F(IngestSessionTest, VerdictsByteIdenticalAcrossShardsAndThreads) {
       options.port = server.port();
       IngestClient client(options);
       ASSERT_TRUE(client.Connect().ok());
-      StreamFaultyRun(&client);
+      StreamRun(&client, *faulty_);
       EXPECT_TRUE(server.WaitForSession().completed);
       server.Stop();
       if (reference.empty()) {
@@ -711,6 +712,55 @@ TEST_F(IngestSessionTest, VerdictsByteIdenticalAcrossShardsAndThreads) {
       }
     }
   }
+}
+
+// A served window is validated where inference starts: a text-dialect
+// `nan` in one metric column of the alarming slave fails that diagnosis with
+// a typed error naming the metric, rendered in place of the verdict, and the
+// bytes stay identical across shard x thread configs.
+TEST_F(IngestSessionTest, NonFiniteMetricFailsTheDiagnosisDeterministically) {
+  constexpr int kMetric = 7;
+  telemetry::RunTrace poisoned = *faulty_;
+  poisoned.nodes[1].metrics[kMetric][2] =
+      std::numeric_limits<double>::quiet_NaN();
+  ASSERT_NE(net::FormatSampleLine(SampleAt(poisoned, 1, 0, 2)).find(" nan"),
+            std::string::npos);
+
+  std::string reference;
+  for (const int shards : {1, 2}) {
+    for (const int threads : {1, 4}) {
+      FleetConfig config;
+      config.threads = threads;
+      config.shards = shards;
+      MonitorFleet fleet(pipeline_, config);
+      std::ostringstream verdicts;
+      IngestServer server(&fleet, &verdicts, {});
+      ASSERT_TRUE(server.Start().ok());
+      IngestClientOptions options;
+      options.port = server.port();
+      options.text = true;
+      IngestClient client(options);
+      ASSERT_TRUE(client.Connect().ok());
+      EXPECT_GE(StreamRun(&client, poisoned), 1u);
+      EXPECT_TRUE(server.WaitForSession().completed);
+      server.Stop();
+      if (reference.empty()) {
+        reference = verdicts.str();
+      } else {
+        EXPECT_EQ(verdicts.str(), reference)
+            << "shards=" << shards << " threads=" << threads;
+      }
+    }
+  }
+  const size_t line = reference.find("10.0.0.2: ALARM tick ");
+  ASSERT_NE(line, std::string::npos) << reference;
+  const std::string verdict =
+      reference.substr(line, reference.find('\n', line) - line);
+  EXPECT_NE(verdict.find("(diagnosis failed: InvalidArgument: InferCause: "
+                         "non-finite sample in " +
+                         telemetry::MetricName(kMetric) + ")"),
+            std::string::npos)
+      << verdict;
 }
 
 TEST_F(IngestSessionTest, UnknownContextInHelloClosesConnection) {
