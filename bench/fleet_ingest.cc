@@ -71,9 +71,7 @@ FleetRates StreamFleet(const core::InvarNetX& pipeline, int monitors,
   for (int i = 0; i < monitors; ++i) {
     Result<serve::MonitorHandle> handle = fleet.StartJob(MonitorContext(i));
     CheckOk(handle.status(), "StartJob");
-    serve::TickSample& sample = batch[static_cast<size_t>(i)];
-    sample.context = MonitorContext(i);
-    sample.monitor = handle.value();
+    batch[static_cast<size_t>(i)].monitor = handle.value();
   }
 
   const int source_ticks = static_cast<int>(source.cpi.size());

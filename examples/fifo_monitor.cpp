@@ -1,22 +1,25 @@
 // FIFO-queue monitoring: the closest thing to the paper's deployment story.
 // A queue of batch jobs (grep -> wordcount -> grep) runs under Hadoop's
-// FIFO mode; at every job arrival the OnlineMonitor "selects a performance
-// model from the archived models instantly" (Sec. 3.2); a disk hog strikes
-// during the middle job; the alarm fires, cause inference names the hog,
+// FIFO mode; at every job arrival the node's monitor "selects a performance
+// model from the archived models instantly" (Sec. 3.2) by arming the job's
+// operation context in a serve::MonitorFleet; a disk hog strikes during the
+// middle job; the alarm fires, cause inference runs on the alarmed window,
 // and a cluster-wide scan localizes the culprit node (the paper's Fig. 1).
 //
 // Usage: fifo_monitor [seed]
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/cluster_diagnosis.h"
 #include "core/evaluate.h"
-#include "core/monitor.h"
+#include "serve/fleet.h"
 
 int main(int argc, char** argv) {
   namespace core = invarnetx::core;
   namespace faults = invarnetx::faults;
+  namespace serve = invarnetx::serve;
   namespace telemetry = invarnetx::telemetry;
   using invarnetx::workload::WorkloadType;
 
@@ -73,57 +76,65 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- online loop: switch context at each job arrival --------------------
-  core::OnlineMonitor monitor(&invarnet);
+  // ---- online loop: arm the arriving job's context -----------------------
+  // The node's monitor is a one-thread fleet: each operation context it has
+  // seen is a monitor with its own handle, and StartJob (re-)arms the
+  // arriving job's one. With threads = 1 an alarm's diagnosis runs inline,
+  // inside the IngestTick that latches it.
+  serve::FleetConfig fleet_config;
+  fleet_config.threads = 1;
+  serve::MonitorFleet fleet(&invarnet, fleet_config);
   const auto& node = trace.value().nodes[victim];
   const auto& spans = trace.value().job_spans;
   size_t span_index = 0;
-  bool alarm_announced = false;
-  auto report_if_alarmed = [&](int tick) {
-    if (!monitor.alarm_active()) return;
-    auto report = monitor.Diagnose();
-    if (!report.ok()) return;
-    std::printf("t=%3d  cause inference for %s:\n", tick,
-                monitor.context().ToString().c_str());
-    for (size_t k = 0; k < report.value().causes.size() && k < 3; ++k) {
-      std::printf("         %-10s %.2f\n",
-                  report.value().causes[k].problem.c_str(),
-                  report.value().causes[k].score);
-    }
-  };
+  std::vector<serve::TickSample> batch;  // empty until the first job arrives
   for (int t = 0; t < trace.value().ticks; ++t) {
     if (span_index < spans.size() && spans[span_index].start_tick == t) {
-      // A finished job leaves; if its alarm latched, diagnose before the
-      // monitor switches models.
-      report_if_alarmed(t);
       const core::OperationContext context{spans[span_index].type,
                                            "10.0.0.2"};
-      if (auto st = monitor.StartJob(context); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      auto handle = fleet.StartJob(context);
+      if (!handle.ok()) {
+        std::fprintf(stderr, "%s\n", handle.status().ToString().c_str());
         return 1;
       }
+      batch.resize(1);
+      batch[0].monitor = handle.value();
       std::printf("t=%3d  job %zu arrives: switched to model for %s\n", t,
                   span_index,
                   invarnetx::workload::WorkloadName(spans[span_index].type)
                       .c_str());
       ++span_index;
     }
-    if (!monitor.job_active()) continue;
-    std::array<double, invarnetx::telemetry::kNumMetrics> metrics{};
-    for (int m = 0; m < invarnetx::telemetry::kNumMetrics; ++m) {
-      metrics[static_cast<size_t>(m)] =
+    if (batch.empty()) continue;
+    batch[0].cpi = node.cpi[static_cast<size_t>(t)];
+    for (int m = 0; m < telemetry::kNumMetrics; ++m) {
+      batch[0].metrics[static_cast<size_t>(m)] =
           node.metrics[static_cast<size_t>(m)][static_cast<size_t>(t)];
     }
-    auto verdict =
-        monitor.Observe(node.cpi[static_cast<size_t>(t)], metrics);
-    if (verdict.ok() && verdict.value().alarm && !alarm_announced) {
-      alarm_announced = true;
-      std::printf("t=%3d  *** ALARM in %s (residual %.3f)\n", t,
-                  monitor.context().ToString().c_str(),
-                  verdict.value().residual);
+    auto summary = fleet.IngestTick(batch);
+    if (!summary.ok()) {
+      std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
+      return 1;
+    }
+    if (summary.value().new_alarms == 0) continue;
+    const auto view = fleet.View(batch[0].monitor);
+    std::printf("t=%3d  *** ALARM in %s (residual %.3f)\n", t,
+                view->context.ToString().c_str(), view->last_residual);
+    for (const serve::FleetDiagnosis& d : fleet.TakeDiagnoses()) {
+      if (!d.status.ok()) {
+        std::printf("t=%3d  cause inference failed: %s\n", t,
+                    d.status.ToString().c_str());
+        continue;
+      }
+      std::printf("t=%3d  cause inference for %s over its %d-tick window:\n",
+                  t, d.context.ToString().c_str(), view->window_ticks);
+      for (size_t k = 0; k < d.report.causes.size() && k < 3; ++k) {
+        std::printf("         %-10s %.2f\n",
+                    d.report.causes[k].problem.c_str(),
+                    d.report.causes[k].score);
+      }
     }
   }
-  report_if_alarmed(trace.value().ticks);
 
   // ---- cluster-wide localization (the paper's Fig. 1) ---------------------
   // Which node is the culprit? Scan every slave's wordcount context over

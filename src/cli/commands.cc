@@ -863,12 +863,13 @@ Status RunEvents(const CommandLine& args, std::string* out) {
     // every event kind the serve path can journal.
     fleet_config.storm_alarm_threshold = 1;
     serve::MonitorFleet fleet(&pipeline, fleet_config);
-    const core::OperationContext context = core::VictimContext(config);
-    INVARNETX_RETURN_IF_ERROR(fleet.StartJob(context).status());
+    Result<serve::MonitorHandle> handle =
+        fleet.StartJob(core::VictimContext(config));
+    if (!handle.ok()) return handle.status();
     const telemetry::NodeTrace& node =
         faulty.value().nodes[static_cast<size_t>(config.victim_node)];
     std::vector<serve::TickSample> batch(1);
-    batch[0].context = context;
+    batch[0].monitor = handle.value();
     for (size_t t = 0; t < node.cpi.size(); ++t) {
       batch[0].cpi = node.cpi[t];
       for (size_t m = 0; m < static_cast<size_t>(telemetry::kNumMetrics);

@@ -359,7 +359,8 @@ Result<serve::TickSample> ParseSampleLine(std::string_view line) {
   const char* cursor = owned.c_str();
   char* next = nullptr;
   const long handle = std::strtol(cursor, &next, 10);
-  if (next == cursor) {
+  if (next == cursor || handle < 0 ||
+      handle > std::numeric_limits<serve::MonitorHandle>::max()) {
     return Status::InvalidArgument("sample line: bad handle");
   }
   sample.monitor = static_cast<serve::MonitorHandle>(handle);

@@ -97,15 +97,13 @@ std::string EncodeErr(std::string_view message);
 Result<std::vector<HelloEntry>> DecodeHello(std::string_view payload);
 Result<std::vector<serve::MonitorHandle>> DecodeHelloAck(
     std::string_view payload);
-// Decoded samples carry only the handle and the doubles; the context field
-// stays empty (the handle is the identity on the wire).
+// Decodes a TICK payload into handle-stamped samples.
 Result<std::vector<serve::TickSample>> DecodeTick(std::string_view payload);
 // The same decode into a batch the caller keeps: on success `*samples` is
-// resized to the frame's count and every sample's handle and doubles are
-// overwritten, so nothing of an earlier, longer tick survives. Contexts are
-// left as they were (the wire carries none; they stay empty in a batch only
-// the decoders fill). On error the batch is left as it was. Allocation-free
-// once the batch has held this many samples. DecodeTick wraps it.
+// resized to the frame's count and every sample is overwritten, so nothing
+// of an earlier, longer tick survives. On error the batch is left as it
+// was. Allocation-free once the batch has held this many samples.
+// DecodeTick wraps it.
 Status DecodeTickInto(std::string_view payload,
                       std::vector<serve::TickSample>* samples);
 Result<TickOutcome> DecodeTickReply(std::string_view payload);
@@ -126,7 +124,8 @@ Status WriteFrame(int fd, const std::string& encoded);
 
 // "H CPI M0 .. M25" with %.17g doubles; the TICK body line for one sample.
 std::string FormatSampleLine(const serve::TickSample& sample);
-// Parses one TICK body line; strict field count and numeric syntax.
+// Parses one TICK body line; strict field count and numeric syntax, and
+// the handle must lie in 0..INT32_MAX.
 Result<serve::TickSample> ParseSampleLine(std::string_view line);
 
 }  // namespace invarnetx::net

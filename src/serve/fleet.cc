@@ -16,8 +16,7 @@ namespace invarnetx::serve {
 
 namespace {
 
-// One window-slab row: [cpi, metric 0 .. metric 25] per tick slot, the same
-// row core::RingWindow stores.
+// One window-slab row: [cpi, metric 0 .. metric 25] per tick slot.
 constexpr size_t kRowDoubles = static_cast<size_t>(telemetry::kNumMetrics) + 1;
 
 // Monitors per window-slab block. A block stores its windows slot-major:
@@ -34,21 +33,28 @@ size_t SlabRow(size_t capacity, uint32_t local, uint32_t slot) {
   return ((block * capacity + slot) * kSlabBlock + lane) * kRowDoubles;
 }
 
-// Stack-local completion latch for the per-tick drain fan-out. Notify runs
-// under the lock: the waiter cannot leave Wait() (and pop the latch off its
-// stack) until the signalling task has released the mutex.
-struct DrainLatch {
+// One tick's drain claims, shared with that tick's pool tasks. A shard's
+// drain goes to whichever of its task and the ingesting thread claims it
+// first, and the ingesting thread waits only for the drains tasks took. A
+// task that loses the claim touches nothing but this state, which its
+// shared_ptr keeps alive after the tick has returned.
+struct TickDrains {
+  std::array<std::atomic<uint8_t>, kMaxThreads> claimed{};
   std::mutex mu;
   std::condition_variable cv;
-  int remaining = 0;
+  int finished = 0;  // drains completed by pool tasks
 
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--remaining == 0) cv.notify_all();
+  bool Claim(size_t shard) {
+    return claimed[shard].exchange(1) == 0;
   }
-  void Wait() {
+  void Finish() {
+    std::lock_guard<std::mutex> lock(mu);
+    ++finished;
+    cv.notify_all();
+  }
+  void WaitFor(int drains) {
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return remaining == 0; });
+    cv.wait(lock, [&] { return finished == drains; });
   }
 };
 
@@ -299,15 +305,10 @@ Result<TickSummary> MonitorFleet::IngestTick(
   const size_t num_shards = shards_.size();
   std::fill(shard_count_scratch_.begin(), shard_count_scratch_.end(), 0u);
   for (size_t i = 0; i < samples.size(); ++i) {
-    MonitorHandle handle = samples[i].monitor;
-    if (handle == kInvalidMonitor) {
-      // Compatibility path for producers that never learned their handle.
-      auto it = index_.find(samples[i].context);
-      handle = it == index_.end() ? kInvalidMonitor : it->second;
-    }
+    const MonitorHandle handle = samples[i].monitor;
     if (handle < 0 || static_cast<size_t>(handle) >= slots_.size()) {
-      return Status::FailedPrecondition("IngestTick: no active monitor for " +
-                                        samples[i].context.ToString());
+      return Status::NotFound("IngestTick: no monitor has handle " +
+                              std::to_string(handle));
     }
     if (job_active_[static_cast<size_t>(handle)] == 0) {
       return Status::FailedPrecondition("IngestTick: no active monitor for " +
@@ -336,27 +337,29 @@ Result<TickSummary> MonitorFleet::IngestTick(
     if (first_nonempty < 0) first_nonempty = static_cast<int>(s);
   }
   const bool parallel = effective_threads_ > 1 && nonempty > 1;
+  // Samples shard s admits this tick: its count, capped by the ring.
+  auto admitted = [this](size_t s) {
+    return static_cast<uint32_t>(std::min<size_t>(shard_count_scratch_[s],
+                                                  shards_[s]->ring.capacity()));
+  };
 
-  // Shard-affine consumers start before the push phase, so detection
-  // pipelines with distribution. Pool tasks and this thread race to claim
-  // each shard's drain (caller-participates): ingest completes even when
-  // every pool worker is grinding a diagnosis.
-  DrainLatch latch;
+  // Drain tasks for every shard after the first start before the push
+  // phase, so detection pipelines with distribution. Each task races this
+  // thread to claim its shard's drain, so the tick never waits for a pool
+  // worker to come free - only for a drain a task actually took.
+  std::shared_ptr<TickDrains> drains;
   if (parallel) {
-    latch.remaining = nonempty - 1;
+    drains = std::make_shared<TickDrains>();
     for (size_t s = static_cast<size_t>(first_nonempty) + 1; s < num_shards;
          ++s) {
       if (shard_count_scratch_[s] == 0) continue;
       Shard* shard = shards_[s].get();
-      shard->drain_claimed.store(0, std::memory_order_relaxed);
-      const uint32_t expected = static_cast<uint32_t>(
-          std::min<size_t>(shard_count_scratch_[s], shard->ring.capacity()));
-      ThreadPool::Shared().Submit([this, shard, expected, &samples, &latch] {
-        if (shard->drain_claimed.exchange(1, std::memory_order_acq_rel) == 0) {
-          DrainShard(*shard, expected, samples);
-        }
-        latch.Done();
-      });
+      ThreadPool::Shared().Submit(
+          [this, shard, s, expected = admitted(s), &samples, drains] {
+            if (!drains->Claim(s)) return;
+            DrainShard(*shard, expected, samples);
+            drains->Finish();
+          });
     }
   }
 
@@ -381,39 +384,22 @@ Result<TickSummary> MonitorFleet::IngestTick(
     }
   }
 
-  // Phase 4 - drain. This thread always takes the first shard, then helps
-  // with any shard whose pool task has not started yet.
+  // Phase 4 - drain. This thread takes the first shard, then every shard
+  // whose task has not claimed it yet, then waits for the drains tasks
+  // took. Serially (no pool) it drains every shard in shard order.
   if (first_nonempty >= 0) {
-    Shard& first = *shards_[static_cast<size_t>(first_nonempty)];
-    DrainShard(first,
-               static_cast<uint32_t>(std::min<size_t>(
-                   shard_count_scratch_[static_cast<size_t>(first_nonempty)],
-                   first.ring.capacity())),
-               samples);
-  }
-  if (parallel) {
-    for (size_t s = static_cast<size_t>(first_nonempty) + 1; s < num_shards;
-         ++s) {
+    const size_t first = static_cast<size_t>(first_nonempty);
+    DrainShard(*shards_[first], admitted(first), samples);
+    int taken_by_tasks = 0;
+    for (size_t s = first + 1; s < num_shards; ++s) {
       if (shard_count_scratch_[s] == 0) continue;
-      Shard* shard = shards_[s].get();
-      if (shard->drain_claimed.exchange(1, std::memory_order_acq_rel) == 0) {
-        DrainShard(*shard,
-                   static_cast<uint32_t>(std::min<size_t>(
-                       shard_count_scratch_[s], shard->ring.capacity())),
-                   samples);
+      if (parallel && !drains->Claim(s)) {
+        ++taken_by_tasks;
+        continue;
       }
+      DrainShard(*shards_[s], admitted(s), samples);
     }
-    latch.Wait();
-  } else {
-    for (size_t s = static_cast<size_t>(std::max(first_nonempty, 0)) + 1;
-         s < num_shards; ++s) {
-      if (shard_count_scratch_[s] == 0) continue;
-      Shard& shard = *shards_[s];
-      DrainShard(shard,
-                 static_cast<uint32_t>(std::min<size_t>(
-                     shard_count_scratch_[s], shard.ring.capacity())),
-                 samples);
-    }
+    if (taken_by_tasks > 0) drains->WaitFor(taken_by_tasks);
   }
 
   // Phase 5 - accounting and alarm handling, serially in batch order, so
@@ -455,8 +441,7 @@ Result<TickSummary> MonitorFleet::IngestTick(
     Shard& shard = *shards_[s];
     const uint32_t count = shard_count_scratch_[s];
     if (count == 0) continue;
-    const uint32_t accepted = static_cast<uint32_t>(
-        std::min<size_t>(count, shard.ring.capacity()));
+    const uint32_t accepted = admitted(s);
     summary.samples += static_cast<int>(accepted);
     shard.samples += accepted;
     shard.samples_counter->Increment(accepted);
@@ -494,8 +479,8 @@ Result<TickSummary> MonitorFleet::IngestTick(
 
 telemetry::NodeTrace MonitorFleet::MaterializeWindow(
     const Shard& shard, uint32_t local, const std::string& ip) const {
-  // Same order as core::RingWindow::Materialize: oldest retained tick
-  // first, slot = absolute tick modulo capacity.
+  // Oldest retained tick first; a tick's slot is its absolute tick modulo
+  // capacity.
   const ShardHot& hot = shard.hot;
   const size_t capacity = config_.window_capacity;
   const int64_t total = hot.window_total[local];
@@ -764,13 +749,11 @@ void MonitorFleet::RefreshStatusCache() {
     status.shards.push_back(row);
   }
 
-  // Per-monitor rows are capped: full dump only when asked for (or the
-  // fleet is small); otherwise at most status_top_k interesting rows
-  // (alarm latched or window overflowed this job), walked off the ordered
+  // Per-monitor rows are capped: a fleet of at most status_top_k monitors
+  // lists them all; otherwise at most status_top_k interesting rows (alarm
+  // latched or window overflowed this job), walked off the ordered
   // interesting_ index in handle order.
-  const bool full = config_.status_full_dump ||
-                    slots_.size() <= config_.status_top_k;
-  if (full) {
+  if (slots_.size() <= config_.status_top_k) {
     status.monitors.reserve(slots_.size());
     for (size_t h = 0; h < slots_.size(); ++h) {
       status.monitors.push_back(StatusRow(static_cast<MonitorHandle>(h)));

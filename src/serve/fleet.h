@@ -24,9 +24,9 @@ namespace invarnetx::serve {
 
 // Dense index of one monitor within its fleet, assigned at the first
 // StartJob for its operation context and stable for the fleet's lifetime.
-// The ingest hot path resolves handles with two array loads; the hashed
-// context index is only consulted at StartJob time (or for samples that
-// arrive without a handle).
+// It is the only name a sample has for its monitor: the ingest hot path
+// resolves it with two array loads, and the hashed context index is only
+// consulted by StartJob and Resolve.
 using MonitorHandle = int32_t;
 inline constexpr MonitorHandle kInvalidMonitor = -1;
 
@@ -46,10 +46,11 @@ struct FleetConfig {
   // this is 1, in which case they run inline.
   int threads = 0;
   // Monitor shards. Each shard owns a bounded SPSC ingest ring (producer =
-  // the ingestion thread, consumer = one shard-affine pool worker per
-  // tick) and the structure-of-arrays hot state of its monitors. Monitors
-  // are assigned shard = handle % shards at StartJob. <= 0: one shard per
-  // hardware thread, but no more than ceil(expected_monitors / 16) when
+  // the ingestion thread, consumer = whichever of the tick's pool task and
+  // the ingestion thread claims the shard's drain) and the
+  // structure-of-arrays hot state of its monitors. Monitors are assigned
+  // shard = handle % shards at StartJob. <= 0: one shard per hardware
+  // thread, but no more than ceil(expected_monitors / 16) when
   // expected_monitors is set, so no shard holds a mostly empty slab block.
   int shards = 0;
   // Per-shard ingest ring capacity = the backpressure limit: a shard
@@ -69,10 +70,8 @@ struct FleetConfig {
   // /statusz snapshot cap: at most this many per-monitor rows, picked in
   // handle order from the interesting monitors (alarm latched or window
   // overflowed this job). Fleets with <= status_top_k monitors list
-  // everything. The cap keeps RefreshStatusCache O(K) at fleet scale;
-  // status_full_dump = true restores the full O(monitors) dump.
+  // everything. The cap keeps RefreshStatusCache O(K) at fleet scale.
   size_t status_top_k = 32;
-  bool status_full_dump = false;
   // Alarm-storm detector: trips when new alarms across the last
   // storm_window_ticks ingest ticks reach storm_alarm_threshold; clears
   // (with hysteresis) when they fall to half the threshold. Both events are
@@ -91,11 +90,9 @@ struct FleetConfig {
 };
 
 // One monitor's observations for one cluster tick. `monitor` is the dense
-// handle StartJob returned; producers that stamp it skip the string-keyed
-// context lookup entirely. kInvalidMonitor falls back to resolving
-// `context` (one map lookup - fine for small fleets and tests).
+// handle StartJob (or the wire's HELLO) returned for the monitor's
+// (operation-context x node) pair.
 struct TickSample {
-  core::OperationContext context;  // names the (operation-context x node) monitor
   MonitorHandle monitor = kInvalidMonitor;
   double cpi = 0.0;
   std::array<double, telemetry::kNumMetrics> metrics{};
@@ -150,8 +147,8 @@ struct FleetStatus {
   double ingest_p99_seconds = 0.0;    // over the watchdog window
   double slow_tick_budget_seconds = 0.0;
   std::vector<ShardStatus> shards;
-  // Capped at status_top_k interesting rows unless status_full_dump (or the
-  // fleet is small); monitors_listed_truncated says rows were left out.
+  // Capped at status_top_k interesting rows unless the fleet is that small;
+  // monitors_listed_truncated says rows were left out.
   std::vector<MonitorStatus> monitors;
   bool monitors_listed_truncated = false;
 };
@@ -197,10 +194,12 @@ struct FleetDiagnosis {
 //     touches it.
 //   - IngestTick validates the batch up front (allocation-free: dense
 //     tick-stamped flags over handles), then distributes entries into each
-//     shard's bounded SPSC ring. One shard-affine consumer per shard
-//     (shared ThreadPool; the ingestion thread takes the first shard and
-//     drains it after distribution) pops its ring in FIFO order and runs
-//     detection, so every monitor's stream stays serial and verdicts are
+//     shard's bounded SPSC ring. Exactly one consumer per shard pops its
+//     ring in FIFO order and runs detection: the ingestion thread drains
+//     the first shard, and each other shard goes to whichever of its
+//     shared-ThreadPool task and the ingestion thread claims it first, so
+//     ingest stays live even when every pool worker is grinding a long
+//     diagnosis. Every monitor's stream stays serial and verdicts are
 //     bit-identical for every shard and thread count.
 //   - Backpressure is explicit and deterministic: a shard accepts at most
 //     ring_capacity samples per tick (admission is decided by per-tick
@@ -246,10 +245,11 @@ class MonitorFleet {
   // running on its snapshot and is still delivered.
   Result<MonitorHandle> StartJob(const core::OperationContext& context);
 
-  // Batched per-tick cluster ingestion: one sample per monitor, every
-  // sample's monitor must have an active job, and a monitor may appear at
-  // most once per tick. Detection fans out one consumer per shard; a shard
-  // whose ring is at capacity rejects the overflow instead of blocking.
+  // Batched per-tick cluster ingestion: one sample per monitor, named by
+  // the handle StartJob returned (a handle this fleet never assigned is a
+  // NotFound error naming it), and a monitor may appear at most once per
+  // tick. Detection fans out one consumer per shard; a shard whose ring is
+  // at capacity rejects the overflow instead of blocking.
   Result<TickSummary> IngestTick(const std::vector<TickSample>& samples);
 
   // Blocks until every enqueued asynchronous diagnosis completed.
@@ -334,12 +334,6 @@ class MonitorFleet {
     // First backpressure reject per job era (any StartJob resets) is
     // journaled; later ones only count.
     bool backpressure_journaled = false;
-    // Per-tick drain ownership: pool tasks and the ingestion thread race to
-    // claim a shard's drain (exchange), so ingest keeps its
-    // caller-participates liveness even when every pool worker is busy
-    // grinding a diagnosis. Exactly one winner per shard per tick keeps the
-    // ring single-consumer.
-    std::atomic<uint8_t> drain_claimed{0};
   };
 
   // Cold per-monitor state, touched at StartJob / alarm / diagnosis time
@@ -369,7 +363,7 @@ class MonitorFleet {
   void PublishGauges();
   // Refreshes the cached /statusz snapshot; ingestion thread only. O(1)
   // counters plus at most status_top_k formatted rows walked off the
-  // interesting_ index (O(monitors) only with status_full_dump).
+  // interesting_ index.
   void RefreshStatusCache();
   // Feeds the alarm-storm detector and slow-tick watchdog with one tick's
   // outcome; journals trips and recoveries. Ingestion thread only.

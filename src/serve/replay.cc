@@ -39,7 +39,6 @@ std::vector<TickSample> SamplesAt(const telemetry::RunTrace& trace,
   for (const ArmedMonitor& m : armed) {
     const telemetry::NodeTrace& node = trace.nodes[m.node_index];
     TickSample sample;
-    sample.context = m.context;
     sample.monitor = m.handle;
     sample.cpi = node.cpi[t];
     for (int metric = 0; metric < telemetry::kNumMetrics; ++metric) {

@@ -199,11 +199,12 @@ TEST(HttpServerTest, ConcurrentScrapesDuringFleetIngest) {
 
   {
     serve::MonitorFleet fleet(&pipeline);
-    ASSERT_TRUE(fleet.StartJob(context).ok());
+    Result<serve::MonitorHandle> handle = fleet.StartJob(context);
+    ASSERT_TRUE(handle.ok());
     const telemetry::NodeTrace& series = faulty.value().nodes[1];
     for (size_t t = 0; t < series.cpi.size(); ++t) {
       serve::TickSample sample;
-      sample.context = context;
+      sample.monitor = handle.value();
       sample.cpi = series.cpi[t];
       for (int m = 0; m < telemetry::kNumMetrics; ++m) {
         sample.metrics[static_cast<size_t>(m)] =

@@ -1,12 +1,11 @@
-// Tests for the deployment-facing components: FIFO job sequences, the
-// streaming OnlineMonitor (with its per-job model selection), and the
-// cluster-wide culprit scan.
+// Tests for the deployment-facing components: FIFO job sequences and the
+// cluster-wide culprit scan. The streaming monitor is serve::MonitorFleet,
+// tested in serve_test.
 
 #include <gtest/gtest.h>
 
 #include "core/cluster_diagnosis.h"
 #include "core/evaluate.h"
-#include "core/monitor.h"
 #include "workload/sequence.h"
 
 namespace invarnetx {
@@ -79,217 +78,6 @@ TEST(JobSequenceTest, DirectModelInterface) {
   EXPECT_EQ(sequence.current_job(), 0);
   ASSERT_EQ(sequence.spans().size(), 1u);
   EXPECT_EQ(sequence.spans()[0].end_tick, -1);  // in flight
-}
-
-// ------------------------------------------------------- online monitor --
-
-class OnlineMonitorTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    pipeline_ = new InvarNetX();
-    auto normal = core::SimulateNormalRuns(WorkloadType::kWordCount, 8, 42);
-    ASSERT_TRUE(pipeline_
-                    ->TrainContext(
-                        OperationContext{WorkloadType::kWordCount,
-                                         "10.0.0.2"},
-                        normal.value(), 1)
-                    .ok());
-    for (uint64_t rep = 0; rep < 2; ++rep) {
-      auto run = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                        faults::FaultType::kCpuHog,
-                                        900 + rep);
-      ASSERT_TRUE(pipeline_
-                      ->AddSignature(OperationContext{
-                                         WorkloadType::kWordCount,
-                                         "10.0.0.2"},
-                                     "cpu-hog", run.value(), 1)
-                      .ok());
-    }
-  }
-  static void TearDownTestSuite() { delete pipeline_; }
-
-  // Streams a trace's victim node through a monitor.
-  static void Stream(core::OnlineMonitor* monitor,
-                     const telemetry::RunTrace& trace) {
-    const auto& node = trace.nodes[1];
-    for (size_t t = 0; t < node.cpi.size(); ++t) {
-      std::array<double, telemetry::kNumMetrics> metrics{};
-      for (int m = 0; m < telemetry::kNumMetrics; ++m) {
-        metrics[static_cast<size_t>(m)] =
-            node.metrics[static_cast<size_t>(m)][t];
-      }
-      ASSERT_TRUE(monitor->Observe(node.cpi[t], metrics).ok());
-    }
-  }
-
-  static InvarNetX* pipeline_;
-};
-
-InvarNetX* OnlineMonitorTest::pipeline_ = nullptr;
-
-TEST_F(OnlineMonitorTest, RequiresActiveJob) {
-  core::OnlineMonitor monitor(pipeline_);
-  EXPECT_FALSE(monitor.job_active());
-  std::array<double, telemetry::kNumMetrics> metrics{};
-  EXPECT_FALSE(monitor.Observe(1.0, metrics).ok());
-  EXPECT_FALSE(monitor.Diagnose().ok());
-}
-
-TEST_F(OnlineMonitorTest, StartJobRequiresTrainedContext) {
-  core::OnlineMonitor monitor(pipeline_);
-  EXPECT_FALSE(
-      monitor.StartJob(OperationContext{WorkloadType::kSort, "10.0.0.2"})
-          .ok());
-  EXPECT_TRUE(
-      monitor
-          .StartJob(OperationContext{WorkloadType::kWordCount, "10.0.0.2"})
-          .ok());
-  EXPECT_TRUE(monitor.job_active());
-}
-
-TEST_F(OnlineMonitorTest, QuietOnNormalStream) {
-  core::OnlineMonitor monitor(pipeline_);
-  ASSERT_TRUE(
-      monitor
-          .StartJob(OperationContext{WorkloadType::kWordCount, "10.0.0.2"})
-          .ok());
-  auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 777);
-  Stream(&monitor, clean.value()[0]);
-  EXPECT_FALSE(monitor.alarm_active());
-  EXPECT_GT(monitor.ticks_observed(), 20);
-}
-
-TEST_F(OnlineMonitorTest, AlarmsAndDiagnosesFaultStream) {
-  core::OnlineMonitor monitor(pipeline_);
-  ASSERT_TRUE(
-      monitor
-          .StartJob(OperationContext{WorkloadType::kWordCount, "10.0.0.2"})
-          .ok());
-  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                       faults::FaultType::kCpuHog, 888);
-  Stream(&monitor, faulty.value());
-  EXPECT_TRUE(monitor.alarm_active());
-  EXPECT_GE(monitor.first_alarm_tick(), 8);  // fault starts at tick 8
-  Result<core::DiagnosisReport> report = monitor.Diagnose();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().anomaly_detected);
-  EXPECT_EQ(report.value().first_alarm_tick, monitor.first_alarm_tick());
-  ASSERT_FALSE(report.value().causes.empty());
-  EXPECT_EQ(report.value().causes[0].problem, "cpu-hog");
-}
-
-TEST_F(OnlineMonitorTest, StartJobClearsAlarmLatch) {
-  core::OnlineMonitor monitor(pipeline_);
-  const OperationContext context{WorkloadType::kWordCount, "10.0.0.2"};
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                       faults::FaultType::kCpuHog, 889);
-  Stream(&monitor, faulty.value());
-  ASSERT_TRUE(monitor.alarm_active());
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  EXPECT_FALSE(monitor.alarm_active());
-  EXPECT_EQ(monitor.ticks_observed(), 0);
-  EXPECT_EQ(monitor.first_alarm_tick(), -1);
-}
-
-TEST_F(OnlineMonitorTest, DiagnoseBeforeAnyTickFails) {
-  core::OnlineMonitor monitor(pipeline_);
-  ASSERT_TRUE(
-      monitor
-          .StartJob(OperationContext{WorkloadType::kWordCount, "10.0.0.2"})
-          .ok());
-  // Job armed but nothing observed yet: no window to infer from.
-  EXPECT_FALSE(monitor.Diagnose().ok());
-  std::array<double, telemetry::kNumMetrics> metrics{};
-  ASSERT_TRUE(monitor.Observe(1.0, metrics).ok());
-  EXPECT_TRUE(monitor.Diagnose().ok());
-}
-
-TEST_F(OnlineMonitorTest, ReArmMidJobResetsWindowAndStaysActive) {
-  core::OnlineMonitor monitor(pipeline_);
-  const OperationContext context{WorkloadType::kWordCount, "10.0.0.2"};
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 779);
-  Stream(&monitor, clean.value()[0]);
-  ASSERT_GT(monitor.ticks_observed(), 0);
-  // The next job arrives before the previous one "finished": re-arming
-  // mid-job is the FIFO deployment loop's normal case.
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  EXPECT_TRUE(monitor.job_active());
-  EXPECT_EQ(monitor.ticks_observed(), 0);
-  EXPECT_EQ(monitor.window_ticks(), 0);
-  EXPECT_FALSE(monitor.alarm_active());
-}
-
-TEST_F(OnlineMonitorTest, AlarmDoesNotLeakAcrossJobs) {
-  core::OnlineMonitor monitor(pipeline_);
-  const OperationContext context{WorkloadType::kWordCount, "10.0.0.2"};
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                       faults::FaultType::kCpuHog, 890);
-  Stream(&monitor, faulty.value());
-  ASSERT_TRUE(monitor.alarm_active());
-  // Next job: a clean stream must not inherit the previous job's alarm.
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 780);
-  Stream(&monitor, clean.value()[0]);
-  EXPECT_FALSE(monitor.alarm_active());
-  EXPECT_EQ(monitor.first_alarm_tick(), -1);
-}
-
-TEST_F(OnlineMonitorTest, RetrainWhileActiveKeepsThePinnedEpoch) {
-  // Private pipeline: this test retrains it while a job is active.
-  InvarNetX pipeline;
-  const OperationContext context{WorkloadType::kWordCount, "10.0.0.2"};
-  auto normal = core::SimulateNormalRuns(WorkloadType::kWordCount, 6, 45);
-  ASSERT_TRUE(pipeline.TrainContext(context, normal.value(), 1).ok());
-
-  core::OnlineMonitor monitor(&pipeline);
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  ASSERT_EQ(monitor.model_epoch(), 1u);
-  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                       faults::FaultType::kCpuHog, 891);
-  Stream(&monitor, faulty.value());
-
-  // Retrain mid-job: the pipeline publishes epoch 2, the armed monitor
-  // keeps detecting and diagnosing against its pinned epoch-1 snapshot.
-  ASSERT_TRUE(pipeline.TrainContext(context, normal.value(), 1).ok());
-  EXPECT_EQ(pipeline.GetContext(context).value()->epoch, 2u);
-  EXPECT_EQ(monitor.model_epoch(), 1u);
-  Result<core::DiagnosisReport> report = monitor.Diagnose();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report.value().anomaly_detected);
-  // Only the next StartJob adopts the new epoch.
-  ASSERT_TRUE(monitor.StartJob(context).ok());
-  EXPECT_EQ(monitor.model_epoch(), 2u);
-}
-
-TEST_F(OnlineMonitorTest, BoundedWindowKeepsAbsoluteAlarmTick) {
-  core::OnlineMonitor::Options options;
-  options.window_capacity = 16;
-  core::OnlineMonitor monitor(pipeline_, options);
-  ASSERT_TRUE(
-      monitor
-          .StartJob(OperationContext{WorkloadType::kWordCount, "10.0.0.2"})
-          .ok());
-  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                       faults::FaultType::kCpuHog, 888);
-  Stream(&monitor, faulty.value());
-  const int total = static_cast<int>(faulty.value().nodes[1].cpi.size());
-  ASSERT_GT(total, 16);
-  EXPECT_EQ(monitor.ticks_observed(), total);
-  EXPECT_EQ(monitor.window_ticks(), 16);
-  ASSERT_TRUE(monitor.alarm_active());
-  // The alarm fired long before the current window's left edge; the latch
-  // still reports it in absolute job ticks.
-  EXPECT_GE(monitor.first_alarm_tick(), 8);
-  EXPECT_LT(monitor.first_alarm_tick(),
-            static_cast<int>(monitor.window().start_tick()));
-  // Diagnosis runs over the bounded window only, and still works.
-  Result<core::DiagnosisReport> report = monitor.Diagnose();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report.value().anomaly_detected);
-  EXPECT_EQ(report.value().first_alarm_tick, monitor.first_alarm_tick());
 }
 
 // ------------------------------------------------------- cluster scan ----

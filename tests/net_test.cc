@@ -115,12 +115,12 @@ std::vector<TickSample> RandomBatch(size_t count, std::mt19937_64* rng) {
   return samples;
 }
 
-// Whether two batches agree bit for bit, contexts included.
+// Whether two batches agree bit for bit.
 bool SameBits(const std::vector<TickSample>& a,
               const std::vector<TickSample>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i].context == b[i].context) || a[i].monitor != b[i].monitor ||
+    if (a[i].monitor != b[i].monitor ||
         !BitsEqual(a[i].cpi, b[i].cpi) ||
         std::memcmp(a[i].metrics.data(), b[i].metrics.data(),
                     sizeof(a[i].metrics)) != 0) {
@@ -467,8 +467,22 @@ TEST(FrameCodecTest, SampleLineRejectsMalformedLines) {
   EXPECT_FALSE(net::ParseSampleLine("0 1.0 0.1 0.2 0.3").ok());
   // One field too many.
   TickSample sample;
-  EXPECT_FALSE(
-      net::ParseSampleLine(net::FormatSampleLine(sample) + " 9").ok());
+  sample.monitor = 0;
+  const std::string line = net::FormatSampleLine(sample);
+  EXPECT_FALSE(net::ParseSampleLine(line + " 9").ok());
+  // Handles outside 0..INT32_MAX: a negative one, and ones a narrowing cast
+  // would wrap onto another handle (4294967297 onto monitor 1).
+  const std::string doubles = line.substr(line.find(' '));
+  for (const char* handle :
+       {"-1", "2147483648", "4294967297", "99999999999999999999"}) {
+    const Result<TickSample> parsed = net::ParseSampleLine(handle + doubles);
+    ASSERT_FALSE(parsed.ok()) << handle;
+    EXPECT_EQ(parsed.status().message(), "sample line: bad handle") << handle;
+  }
+  const Result<TickSample> largest =
+      net::ParseSampleLine("2147483647" + doubles);
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest.value().monitor, 2147483647);
 }
 
 // ---------------------------------------------------------------------------

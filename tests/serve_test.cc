@@ -14,8 +14,10 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -47,6 +49,7 @@ using core::OperationContext;
 using serve::FleetConfig;
 using serve::FleetDiagnosis;
 using serve::MonitorFleet;
+using serve::MonitorHandle;
 using serve::TickSample;
 using serve::TickSummary;
 using workload::WorkloadType;
@@ -85,10 +88,12 @@ bool ScrapeOverLoopback(uint16_t port, const std::string& path) {
   return true;
 }
 
-TickSample SampleAt(const telemetry::RunTrace& trace, int node, size_t t) {
+// One handle-stamped sample for `node` at tick `t` of the trace.
+TickSample SampleAt(const telemetry::RunTrace& trace, int node,
+                    MonitorHandle handle, size_t t) {
   const telemetry::NodeTrace& series = trace.nodes[static_cast<size_t>(node)];
   TickSample sample;
-  sample.context = Context(node);
+  sample.monitor = handle;
   sample.cpi = series.cpi[t];
   for (int m = 0; m < telemetry::kNumMetrics; ++m) {
     sample.metrics[static_cast<size_t>(m)] =
@@ -122,11 +127,14 @@ class MonitorFleetTest : public ::testing::Test {
   }
   static void TearDownTestSuite() { delete pipeline_; }
 
-  // Streams every tick of the trace into the fleet (nodes 1 and 2).
+  // Streams every tick of the trace into the armed monitors of nodes 1 and
+  // 2, stamped with the handles their StartJob assigned.
   static void Stream(MonitorFleet* fleet, const telemetry::RunTrace& trace) {
+    const MonitorHandle first = fleet->Resolve(Context(1));
+    const MonitorHandle second = fleet->Resolve(Context(2));
     for (size_t t = 0; t < trace.nodes[1].cpi.size(); ++t) {
-      Result<TickSummary> summary =
-          fleet->IngestTick({SampleAt(trace, 1, t), SampleAt(trace, 2, t)});
+      Result<TickSummary> summary = fleet->IngestTick(
+          {SampleAt(trace, 1, first, t), SampleAt(trace, 2, second, t)});
       ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     }
   }
@@ -172,17 +180,47 @@ TEST_F(MonitorFleetTest, LifecycleAlarmsAndAsyncDiagnosis) {
   EXPECT_TRUE(victim_diagnosed);
   // TakeDiagnoses drains.
   EXPECT_TRUE(fleet.TakeDiagnoses().empty());
+
+  // A mid-job re-arm clears the window, the alarm latch and the alarm tick,
+  // and leaves the monitor armed.
+  const size_t latched = fleet.alarms_active();
+  ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
+  const std::optional<serve::MonitorView> rearmed = fleet.View(Context(1));
+  EXPECT_TRUE(rearmed->job_active);
+  EXPECT_FALSE(rearmed->alarm_active);
+  EXPECT_EQ(rearmed->first_alarm_tick, -1);
+  EXPECT_EQ(rearmed->ticks_observed, 0);
+  EXPECT_EQ(rearmed->window_ticks, 0);
+  EXPECT_EQ(fleet.alarms_active(), latched - 1);
+
+  // A clean job after the alarmed one stays quiet: nothing of the previous
+  // job's alarm leaks into it.
+  ASSERT_TRUE(fleet.StartJob(Context(2)).ok());
+  auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 780);
+  ASSERT_TRUE(clean.ok());
+  Stream(&fleet, clean.value()[0]);
+  fleet.WaitForDiagnoses();
+  for (int node = 1; node <= 2; ++node) {
+    const std::optional<serve::MonitorView> view = fleet.View(Context(node));
+    EXPECT_FALSE(view->alarm_active) << "node " << node;
+    EXPECT_EQ(view->first_alarm_tick, -1) << "node " << node;
+    EXPECT_GT(view->ticks_observed, 20) << "node " << node;
+  }
+  EXPECT_EQ(fleet.alarms_active(), 0u);
+  EXPECT_TRUE(fleet.TakeDiagnoses().empty());
 }
 
 TEST_F(MonitorFleetTest, IngestRejectsUnknownInactiveAndDuplicate) {
   MonitorFleet fleet(pipeline_);
   auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 777);
   ASSERT_TRUE(clean.ok());
-  const TickSample sample = SampleAt(clean.value()[0], 1, 0);
 
-  // No StartJob yet: the batch is rejected and nothing is ingested.
-  EXPECT_FALSE(fleet.IngestTick({sample}).ok());
-  ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
+  // No StartJob yet: handle 0 names no monitor, so the batch is rejected
+  // and nothing is ingested.
+  EXPECT_FALSE(fleet.IngestTick({SampleAt(clean.value()[0], 1, 0, 0)}).ok());
+  Result<MonitorHandle> handle = fleet.StartJob(Context(1));
+  ASSERT_TRUE(handle.ok());
+  const TickSample sample = SampleAt(clean.value()[0], 1, handle.value(), 0);
   // Duplicate monitor in one batch.
   EXPECT_FALSE(fleet.IngestTick({sample, sample}).ok());
   EXPECT_EQ(fleet.View(Context(1))->ticks_observed, 0);
@@ -305,7 +343,8 @@ TEST_F(MonitorFleetTest, RetrainWhileActivePinsTheOldEpoch) {
   ASSERT_TRUE(pipeline.TrainContext(Context(1), normal.value(), 1).ok());
 
   MonitorFleet fleet(&pipeline);
-  ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
+  Result<MonitorHandle> handle = fleet.StartJob(Context(1));
+  ASSERT_TRUE(handle.ok());
   ASSERT_EQ(fleet.View(Context(1))->epoch, 1u);
 
   // Retrain under the fleet's feet: the published epoch advances, but the
@@ -314,13 +353,22 @@ TEST_F(MonitorFleetTest, RetrainWhileActivePinsTheOldEpoch) {
   EXPECT_EQ(pipeline.GetContext(Context(1)).value()->epoch, 2u);
   EXPECT_EQ(fleet.View(Context(1))->epoch, 1u);
 
-  auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 778);
-  ASSERT_TRUE(clean.ok());
-  for (size_t t = 0; t < clean.value()[0].nodes[1].cpi.size(); ++t) {
+  // The job keeps detecting and diagnosing against the pinned epoch.
+  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
+                                       faults::FaultType::kCpuHog, 891);
+  ASSERT_TRUE(faulty.ok());
+  for (size_t t = 0; t < faulty.value().nodes[1].cpi.size(); ++t) {
     ASSERT_TRUE(
-        fleet.IngestTick({SampleAt(clean.value()[0], 1, t)}).ok());
+        fleet.IngestTick({SampleAt(faulty.value(), 1, handle.value(), t)})
+            .ok());
   }
   EXPECT_EQ(fleet.View(Context(1))->epoch, 1u);
+  fleet.WaitForDiagnoses();
+  const std::vector<FleetDiagnosis> diagnoses = fleet.TakeDiagnoses();
+  ASSERT_EQ(diagnoses.size(), 1u);
+  ASSERT_TRUE(diagnoses[0].status.ok()) << diagnoses[0].status.ToString();
+  EXPECT_EQ(diagnoses[0].epoch, 1u);
+  EXPECT_TRUE(diagnoses[0].report.anomaly_detected);
   // The next job picks up the fresh epoch.
   ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
   EXPECT_EQ(fleet.View(Context(1))->epoch, 2u);
@@ -438,16 +486,15 @@ TEST_F(MonitorFleetTest, BackpressureRejectsDeterministicallyAndJournals) {
       "serve.ring_overflow", {{"shard", "0"}});
   const uint64_t counter_before = overflow_counter.value();
 
-  ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
-  ASSERT_TRUE(fleet.StartJob(Context(2)).ok());
+  const MonitorHandle first = fleet.StartJob(Context(1)).value();
+  const MonitorHandle second = fleet.StartJob(Context(2)).value();
   auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 779);
   ASSERT_TRUE(clean.ok());
   constexpr int kTicks = 3;
-  for (int t = 0; t < kTicks; ++t) {
+  for (size_t t = 0; t < kTicks; ++t) {
     Result<TickSummary> summary =
-        fleet.IngestTick({SampleAt(clean.value()[0], 1, static_cast<size_t>(t)),
-                          SampleAt(clean.value()[0], 2,
-                                   static_cast<size_t>(t))});
+        fleet.IngestTick({SampleAt(clean.value()[0], 1, first, t),
+                          SampleAt(clean.value()[0], 2, second, t)});
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     // The ring holds one entry, so admission (decided by batch order, never
     // queue timing) accepts the first sample and rejects the second - the
@@ -476,22 +523,34 @@ TEST_F(MonitorFleetTest, BackpressureRejectsDeterministicallyAndJournals) {
   EXPECT_EQ(backpressure_events, 1u);
 }
 
-TEST_F(MonitorFleetTest, HandleStampedSamplesBypassTheContextLookup) {
+TEST_F(MonitorFleetTest, UnknownHandleIsANotFoundNamingIt) {
   MonitorFleet fleet(pipeline_);
-  Result<serve::MonitorHandle> handle = fleet.StartJob(Context(1));
+  Result<MonitorHandle> handle = fleet.StartJob(Context(1));
   ASSERT_TRUE(handle.ok());
+  EXPECT_EQ(fleet.Resolve(Context(1)), handle.value());
   auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 780);
   ASSERT_TRUE(clean.ok());
-  TickSample sample = SampleAt(clean.value()[0], 1, 0);
-  sample.monitor = handle.value();
-  ASSERT_TRUE(fleet.IngestTick({sample}).ok());
+  const TickSample good = SampleAt(clean.value()[0], 1, handle.value(), 0);
+  ASSERT_TRUE(fleet.IngestTick({good}).ok());
   EXPECT_EQ(fleet.View(handle.value())->ticks_observed, 1);
   EXPECT_EQ(fleet.View(handle.value())->handle, handle.value());
-  EXPECT_EQ(fleet.Resolve(Context(1)), handle.value());
-  // A bogus handle is rejected, not silently resolved via the context.
-  sample.monitor = 12345;
-  EXPECT_FALSE(fleet.IngestTick({sample}).ok());
-  EXPECT_FALSE(fleet.View(serve::MonitorHandle{12345}).has_value());
+
+  // The handle is a sample's only name for its monitor: one the fleet
+  // never assigned - an unstamped sample's kInvalidMonitor included -
+  // rejects the whole batch with an error that names it.
+  for (const MonitorHandle bad :
+       {MonitorHandle{12345}, serve::kInvalidMonitor}) {
+    const TickSample stray = SampleAt(clean.value()[0], 1, bad, 1);
+    Result<TickSummary> rejected = fleet.IngestTick({good, stray});
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(rejected.status().message().find(
+                  "handle " + std::to_string(bad)),
+              std::string::npos)
+        << rejected.status().ToString();
+    EXPECT_FALSE(fleet.View(bad).has_value());
+  }
+  EXPECT_EQ(fleet.View(handle.value())->ticks_observed, 1);
 }
 
 TEST_F(MonitorFleetTest, StatusCacheCapsRowsAtTopKInterestingMonitors) {
@@ -519,16 +578,6 @@ TEST_F(MonitorFleetTest, StatusCacheCapsRowsAtTopKInterestingMonitors) {
   EXPECT_EQ(alarmed.monitors[0].context, Context(1).ToString());
   EXPECT_TRUE(alarmed.monitors[0].alarm_active);
   EXPECT_TRUE(alarmed.monitors_listed_truncated);
-
-  // The explicit full dump overrides the cap.
-  FleetConfig full = config;
-  full.status_full_dump = true;
-  MonitorFleet full_fleet(pipeline_, full);
-  ASSERT_TRUE(full_fleet.StartJob(Context(1)).ok());
-  ASSERT_TRUE(full_fleet.StartJob(Context(2)).ok());
-  const serve::FleetStatus dump = full_fleet.Snapshot();
-  EXPECT_EQ(dump.monitors.size(), 2u);
-  EXPECT_FALSE(dump.monitors_listed_truncated);
 }
 
 TEST_F(MonitorFleetTest, ResidualsAndAlarmTicksMatchAnomalyDetectorScan) {
@@ -545,13 +594,14 @@ TEST_F(MonitorFleetTest, ResidualsAndAlarmTicksMatchAnomalyDetectorScan) {
     config.shards = layout;
     config.diagnose_on_alarm = false;
     MonitorFleet fleet(pipeline_, config);
-    ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
-    ASSERT_TRUE(fleet.StartJob(Context(2)).ok());
+    const MonitorHandle first = fleet.StartJob(Context(1)).value();
+    const MonitorHandle second = fleet.StartJob(Context(2)).value();
     std::vector<std::vector<double>> residuals(3);
     for (size_t t = 0; t < trace.nodes[1].cpi.size(); ++t) {
-      ASSERT_TRUE(
-          fleet.IngestTick({SampleAt(trace, 1, t), SampleAt(trace, 2, t)})
-              .ok());
+      ASSERT_TRUE(fleet
+                      .IngestTick({SampleAt(trace, 1, first, t),
+                                   SampleAt(trace, 2, second, t)})
+                      .ok());
       for (int node = 1; node <= 2; ++node) {
         residuals[static_cast<size_t>(node)].push_back(
             fleet.View(Context(node))->last_residual);
@@ -582,6 +632,82 @@ TEST_F(MonitorFleetTest, ResidualsAndAlarmTicksMatchAnomalyDetectorScan) {
   }
 }
 
+// A tick never waits for a pool worker: with every shared-pool worker
+// blocked (say, each grinding a long diagnosis), the ingesting thread
+// claims and drains the shard whose queued task cannot start, and returns.
+// The test gives the tick 5 s before it releases the blockers, so a fleet
+// that waits for its queued task fails instead of hanging.
+TEST_F(MonitorFleetTest, IngestDoesNotWaitForBusyPoolWorkers) {
+  FleetConfig config;
+  config.threads = 2;
+  config.shards = 2;
+  config.diagnose_on_alarm = false;
+  MonitorFleet fleet(pipeline_, config);
+  const MonitorHandle first = fleet.StartJob(Context(1)).value();   // shard 0
+  const MonitorHandle second = fleet.StartJob(Context(2)).value();  // shard 1
+  auto clean = core::SimulateNormalRuns(WorkloadType::kWordCount, 1, 781);
+  ASSERT_TRUE(clean.ok());
+  const std::vector<TickSample> batch = {
+      SampleAt(clean.value()[0], 1, first, 0),
+      SampleAt(clean.value()[0], 2, second, 0)};
+
+  // Blockers share their gate through a shared_ptr, so one still leaving
+  // after the test returned touches nothing of its frame.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    int blocked = 0;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  ThreadPool& pool = ThreadPool::Shared();
+  const int workers = pool.size();
+  for (int w = 0; w < workers; ++w) {
+    pool.Submit([gate] {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      ++gate->blocked;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&] { return gate->open; });
+      --gate->blocked;
+      gate->cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait(lock, [&] { return gate->blocked == workers; });
+  }
+
+  std::atomic<bool> returned{false};
+  Result<TickSummary> summary = Status::Internal("IngestTick did not run");
+  std::thread ingest([&] {
+    summary = fleet.IngestTick(batch);
+    returned.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned_while_blocked = returned.load();
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  ingest.join();
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait(lock, [&] { return gate->blocked == 0; });
+  }
+
+  EXPECT_TRUE(returned_while_blocked)
+      << "IngestTick waited for a blocked pool worker";
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary.value().samples, 2);
+  EXPECT_EQ(fleet.View(first)->ticks_observed, 1);
+  EXPECT_EQ(fleet.View(second)->ticks_observed, 1);
+}
+
 // A pipeline trained once without operation contexts: every context maps
 // to the one pooled model, so a fleet can arm thousands of monitors.
 class PooledFleetTest : public ::testing::Test {
@@ -607,10 +733,8 @@ class PooledFleetTest : public ::testing::Test {
   static TickSample Sample(MonitorFleet& fleet, int i, size_t t,
                            double cpi_scale = 1.0) {
     const size_t ticks = clean_->nodes[1].cpi.size();
-    TickSample sample =
-        SampleAt(*clean_, 1, (t + static_cast<size_t>(i)) % ticks);
-    sample.context = Context(i);
-    sample.monitor = fleet.Resolve(Context(i));
+    TickSample sample = SampleAt(*clean_, 1, fleet.Resolve(Context(i)),
+                                 (t + static_cast<size_t>(i)) % ticks);
     sample.cpi *= cpi_scale;
     return sample;
   }
