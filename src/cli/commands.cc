@@ -243,123 +243,58 @@ Status RunAddSignature(const CommandLine& args, std::string* out) {
   return Status::Ok();
 }
 
-Status RunDiagnose(const CommandLine& args, std::string* out) {
-  if (!args.Has("store")) {
-    return Status::InvalidArgument("diagnose needs --store DIR");
-  }
-  Result<std::vector<telemetry::RunTrace>> traces = LoadTraces(args);
-  if (!traces.ok()) return traces.status();
-  core::InvarNetXConfig pipeline_config;
-  ApplyMiningOptions(args, &pipeline_config);
-  core::InvarNetX pipeline(pipeline_config);
-  INVARNETX_RETURN_IF_ERROR(pipeline.LoadFromDirectory(args.Get("store", "")));
-  const telemetry::RunTrace& trace = traces.value()[0];
+namespace {
 
-  // A FIFO-sequence trace mixes jobs with different operation contexts;
-  // diagnose each job span against its own workload's models.
-  if (trace.job_spans.size() > 1) {
-    std::string span_out;
-    for (size_t j = 0; j < trace.job_spans.size(); ++j) {
-      const telemetry::JobSpanInfo& span = trace.job_spans[j];
-      if (span.end_tick <= span.start_tick) continue;
-      telemetry::RunTrace sliced;
-      sliced.workload = span.type;
-      sliced.ticks = span.end_tick - span.start_tick;
-      for (const telemetry::NodeTrace& node : trace.nodes) {
-        telemetry::NodeTrace piece;
-        piece.ip = node.ip;
-        piece.cpi.assign(node.cpi.begin() + span.start_tick,
-                         node.cpi.begin() + span.end_tick);
-        for (int m = 0; m < telemetry::kNumMetrics; ++m) {
-          piece.metrics[static_cast<size_t>(m)].assign(
-              node.metrics[static_cast<size_t>(m)].begin() + span.start_tick,
-              node.metrics[static_cast<size_t>(m)].begin() + span.end_tick);
-        }
-        sliced.nodes.push_back(std::move(piece));
-      }
-      span_out += "== job " + std::to_string(j) + " (" +
-                  workload::WorkloadName(span.type) + ", ticks " +
-                  std::to_string(span.start_tick) + ".." +
-                  std::to_string(span.end_tick) + ") ==\n";
-      CommandLine span_args = args;
-      span_args.positional.clear();
-      // Recurse on the sliced trace via a temp file-free path: inline the
-      // single-trace logic by writing the slice out? Simpler: handle here.
-      // (fall through to the shared single-trace logic below)
-      std::string one;
-      Status st = [&]() -> Status {
-        if (span_args.Has("node")) {
-          const std::string ip = span_args.Get("node", "");
-          Result<size_t> node = NodeIndexOf(sliced, ip);
-          if (!node.ok()) return node.status();
-          Result<core::DiagnosisReport> report = pipeline.Diagnose(
-              core::OperationContext{sliced.workload, ip}, sliced,
-              node.value());
-          if (!report.ok()) return report.status();
-          if (!report.value().anomaly_detected) {
-            one += ip + ": no anomaly\n";
-          } else {
-            one += ip + ": ANOMALY, " +
-                   std::to_string(report.value().num_violations) +
-                   " violations\n";
-            for (const core::RankedCause& cause : report.value().causes) {
-              one += "  " + cause.problem + "  " +
-                     std::to_string(cause.score) + "\n";
-            }
-          }
-          return Status::Ok();
-        }
-        Result<core::ClusterDiagnosis> scan =
-            core::DiagnoseCluster(pipeline, sliced);
-        if (!scan.ok()) return scan.status();
-        for (const core::NodeDiagnosis& entry : scan.value().nodes) {
-          if (!entry.context_trained) {
-            one += entry.node_ip + ": (context not trained)\n";
-          } else if (!entry.report.anomaly_detected) {
-            one += entry.node_ip + ": healthy\n";
-          } else {
-            one += entry.node_ip + ": ANOMALOUS (" +
-                   std::to_string(entry.report.num_violations) +
-                   " violations)";
-            if (!entry.report.causes.empty()) {
-              one += " -> " + entry.report.causes[0].problem;
-            }
-            one += "\n";
-          }
-        }
-        return Status::Ok();
-      }();
-      if (!st.ok()) return st;
-      span_out += one;
+// The ticks of one job span of a FIFO-sequence trace, as a single-job trace
+// of that job's workload.
+telemetry::RunTrace SliceJobSpan(const telemetry::RunTrace& trace,
+                                 const telemetry::JobSpanInfo& span) {
+  telemetry::RunTrace sliced;
+  sliced.workload = span.type;
+  sliced.ticks = span.end_tick - span.start_tick;
+  for (const telemetry::NodeTrace& node : trace.nodes) {
+    telemetry::NodeTrace piece;
+    piece.ip = node.ip;
+    piece.cpi.assign(node.cpi.begin() + span.start_tick,
+                     node.cpi.begin() + span.end_tick);
+    for (int m = 0; m < telemetry::kNumMetrics; ++m) {
+      const std::vector<double>& series = node.metrics[static_cast<size_t>(m)];
+      piece.metrics[static_cast<size_t>(m)].assign(
+          series.begin() + span.start_tick, series.begin() + span.end_tick);
     }
-    *out += span_out;
-    return Status::Ok();
+    sliced.nodes.push_back(std::move(piece));
   }
+  return sliced;
+}
 
-  std::ostringstream message;
+// Diagnoses one single-job trace: the --node verdict, or the cluster scan's
+// per-node verdicts and culprit, with --stats cost lines. When `markdown`
+// is non-null it receives the incident (or cluster) report.
+Status DiagnoseTrace(const CommandLine& args, const core::InvarNetX& pipeline,
+                     const telemetry::RunTrace& trace, std::ostream* message,
+                     std::string* markdown) {
   const bool show_cost = args.Get("stats", "0") != "0";
-  auto render = [&message, show_cost](const std::string& where,
-                                      const core::DiagnosisReport& report) {
+  auto render = [message, show_cost](const std::string& where,
+                                     const core::DiagnosisReport& report) {
     if (!report.anomaly_detected) {
-      message << where << ": no anomaly\n";
-      if (show_cost) message << "  cost: " << report.cost.Summary() << "\n";
+      *message << where << ": no anomaly\n";
+      if (show_cost) *message << "  cost: " << report.cost.Summary() << "\n";
       return;
     }
-    message << where << ": ANOMALY at tick " << report.first_alarm_tick
-            << ", " << report.num_violations << " violations\n";
+    *message << where << ": ANOMALY at tick " << report.first_alarm_tick
+             << ", " << report.num_violations << " violations\n";
     for (const core::RankedCause& cause : report.causes) {
-      message << "  " << cause.problem << "  " << cause.score << "\n";
+      *message << "  " << cause.problem << "  " << cause.score << "\n";
     }
     if (!report.known_problem) {
-      message << "  (below similarity threshold - hints:)\n";
+      *message << "  (below similarity threshold - hints:)\n";
       for (const std::string& hint : report.hints) {
-        message << "    " << hint << "\n";
+        *message << "    " << hint << "\n";
       }
     }
-    if (show_cost) message << "  cost: " << report.cost.Summary() << "\n";
+    if (show_cost) *message << "  cost: " << report.cost.Summary() << "\n";
   };
 
-  std::string markdown;
   if (args.Has("node")) {
     const std::string ip = args.Get("node", "");
     Result<size_t> node = NodeIndexOf(trace, ip);
@@ -369,37 +304,79 @@ Status RunDiagnose(const CommandLine& args, std::string* out) {
         pipeline.Diagnose(context, trace, node.value());
     if (!report.ok()) return report.status();
     render(ip, report.value());
-    if (args.Has("report")) {
+    if (markdown != nullptr) {
       Result<std::shared_ptr<const core::ContextModel>> model =
           pipeline.GetContext(context);
       if (!model.ok()) return model.status();
-      markdown = core::RenderIncidentReport(context, report.value(),
-                                            *model.value(), trace.ticks,
-                                            &trace.nodes[node.value()]);
+      *markdown = core::RenderIncidentReport(context, report.value(),
+                                             *model.value(), trace.ticks);
     }
-  } else {
-    Result<core::ClusterDiagnosis> scan =
-        core::DiagnoseCluster(pipeline, trace);
-    if (!scan.ok()) return scan.status();
-    for (const core::NodeDiagnosis& entry : scan.value().nodes) {
-      if (!entry.context_trained) {
-        message << entry.node_ip << ": (context not trained)\n";
-        continue;
-      }
-      render(entry.node_ip, entry.report);
-    }
-    if (scan.value().AnyAnomaly()) {
-      message << "culprit: "
-              << scan.value()
-                     .nodes[static_cast<size_t>(scan.value().culprit)]
-                     .node_ip
-              << "\n";
-    }
-    if (args.Has("report")) {
-      markdown = core::RenderClusterReport(pipeline, scan.value(),
-                                           trace.workload, trace.ticks);
-    }
+    return Status::Ok();
   }
+  Result<core::ClusterDiagnosis> scan = core::DiagnoseCluster(pipeline, trace);
+  if (!scan.ok()) return scan.status();
+  for (const core::NodeDiagnosis& entry : scan.value().nodes) {
+    if (!entry.context_trained) {
+      *message << entry.node_ip << ": (context not trained)\n";
+      continue;
+    }
+    render(entry.node_ip, entry.report);
+  }
+  if (scan.value().AnyAnomaly()) {
+    *message << "culprit: "
+             << scan.value()
+                    .nodes[static_cast<size_t>(scan.value().culprit)]
+                    .node_ip
+             << "\n";
+  }
+  if (markdown != nullptr) {
+    *markdown = core::RenderClusterReport(pipeline, scan.value(),
+                                          trace.workload, trace.ticks);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status RunDiagnose(const CommandLine& args, std::string* out) {
+  if (!args.Has("store")) {
+    return Status::InvalidArgument("diagnose needs --store DIR");
+  }
+  Result<std::vector<telemetry::RunTrace>> traces = LoadTraces(args);
+  if (!traces.ok()) return traces.status();
+  const telemetry::RunTrace& trace = traces.value()[0];
+  const bool sequence = trace.job_spans.size() > 1;
+  if (sequence && args.Has("report")) {
+    return Status::InvalidArgument(
+        "diagnose --report needs a single-job trace; this one holds " +
+        std::to_string(trace.job_spans.size()) + " job spans");
+  }
+  core::InvarNetXConfig pipeline_config;
+  ApplyMiningOptions(args, &pipeline_config);
+  core::InvarNetX pipeline(pipeline_config);
+  INVARNETX_RETURN_IF_ERROR(pipeline.LoadFromDirectory(args.Get("store", "")));
+
+  std::ostringstream message;
+  // A FIFO-sequence trace mixes jobs with different operation contexts;
+  // diagnose each job span against its own workload's models.
+  if (sequence) {
+    for (size_t j = 0; j < trace.job_spans.size(); ++j) {
+      const telemetry::JobSpanInfo& span = trace.job_spans[j];
+      if (span.end_tick <= span.start_tick) continue;
+      message << "== job " << j << " (" << workload::WorkloadName(span.type)
+              << ", ticks " << span.start_tick << ".." << span.end_tick
+              << ") ==\n";
+      INVARNETX_RETURN_IF_ERROR(DiagnoseTrace(
+          args, pipeline, SliceJobSpan(trace, span), &message, nullptr));
+    }
+    *out += message.str();
+    return Status::Ok();
+  }
+
+  std::string markdown;
+  INVARNETX_RETURN_IF_ERROR(DiagnoseTrace(
+      args, pipeline, trace, &message,
+      args.Has("report") ? &markdown : nullptr));
   if (args.Has("report")) {
     std::ofstream file(args.Get("report", ""));
     if (!file) return Status::IoError("cannot open report file");
@@ -738,9 +715,8 @@ Status RunServe(const CommandLine& args, std::string* out) {
       }
       *out += plan.value().header;
       *out += verdicts.str();
-      *out += "summary: " + std::to_string(stats.total_alarms) +
-              " alarm(s) over " + std::to_string(stats.runs) + " run(s) x " +
-              std::to_string(plan.value().contexts.size()) + " monitor(s)\n";
+      *out += serve::ReplaySummaryLine(stats.total_alarms, stats.runs,
+                                       plan.value().contexts.size());
       return Status::Ok();
     }
     // A scenario file carries its own training data (seeded simulation); a

@@ -32,9 +32,10 @@ mic::MicWorkspace& WorkerMicWorkspace() {
   return ThreadLocalInstance<mic::MicWorkspace>();
 }
 
-// MIC needs at least 4 points to place a 2x2 grid. Shorter series (tiny
-// analysis windows) carry no mineable association - "no association", not
-// an error, matching how degenerate series and unfittable ARX pairs score.
+// MIC needs at least 4 points to place a 2x2 grid. Shorter series (a trace
+// cut short, a served window that alarms within its first ticks) carry no
+// mineable association - "no association", not an error, matching how
+// degenerate series and unfittable ARX pairs score.
 constexpr size_t kMinScoreableTicks = 4;
 
 class MicEngine : public AssociationEngine {

@@ -42,47 +42,6 @@ Status ValidateNode(const telemetry::NodeTrace& node, const char* what) {
   return Status::Ok();
 }
 
-// Copies ticks [start, start + len) of every series in the node trace.
-telemetry::NodeTrace SliceNode(const telemetry::NodeTrace& node, size_t start,
-                               size_t len) {
-  telemetry::NodeTrace out;
-  out.ip = node.ip;
-  const size_t n = node.cpi.size();
-  const size_t begin = std::min(start, n);
-  const size_t end = std::min(start + len, n);
-  out.cpi.assign(node.cpi.begin() + static_cast<long>(begin),
-                 node.cpi.begin() + static_cast<long>(end));
-  for (int m = 0; m < telemetry::kNumMetrics; ++m) {
-    const std::vector<double>& series = node.metrics[static_cast<size_t>(m)];
-    out.metrics[static_cast<size_t>(m)].assign(
-        series.begin() + static_cast<long>(begin),
-        series.begin() + static_cast<long>(end));
-  }
-  return out;
-}
-
-// Start of the length-`window` stretch with the largest total CPI residual:
-// the data "during the performance problem".
-size_t AnomalousWindowStart(const PerformanceModel& perf,
-                            const std::vector<double>& cpi, size_t window) {
-  if (cpi.size() <= window) return 0;
-  Result<std::vector<double>> residuals = perf.arima().AbsResiduals(cpi);
-  if (!residuals.ok()) return 0;
-  const std::vector<double>& r = residuals.value();
-  double sum = 0.0;
-  for (size_t i = 0; i < window; ++i) sum += r[i];
-  double best = sum;
-  size_t best_start = 0;
-  for (size_t start = 1; start + window <= r.size(); ++start) {
-    sum += r[start + window - 1] - r[start - 1];
-    if (sum > best) {
-      best = sum;
-      best_start = start;
-    }
-  }
-  return best_start;
-}
-
 }  // namespace
 
 std::string DiagnosisCost::Summary() const {
@@ -131,16 +90,12 @@ Status InvarNetX::TrainContextFromExamples(
   std::vector<std::vector<double>> cpi_traces;
   const std::unique_ptr<AssociationEngine> engine =
       AssociationEngine::Make(config_.engine);
-  // Validation and window layout run serially (cheap); the MIC mining of
-  // every (example, window) slice - the dominant training cost - fans out
-  // across workers, each writing its own preallocated matrix slot so the
-  // result is independent of scheduling.
-  struct SliceTask {
-    const telemetry::NodeTrace* node = nullptr;
-    size_t start = 0;
-    size_t window = 0;
-  };
-  std::vector<SliceTask> slices;
+  // Validation runs serially (cheap); the MIC mining of every example's
+  // whole run - the dominant training cost - fans out across workers, each
+  // writing its own preallocated matrix slot so the result is independent
+  // of scheduling.
+  std::vector<const telemetry::NodeTrace*> nodes;
+  nodes.reserve(examples.size());
   for (const TrainExample& example : examples) {
     if (example.run == nullptr ||
         example.node_index >= example.run->nodes.size()) {
@@ -150,62 +105,34 @@ Status InvarNetX::TrainContextFromExamples(
         example.run->nodes[example.node_index];
     INVARNETX_RETURN_IF_ERROR(ValidateNode(node, "TrainContext"));
     cpi_traces.push_back(node.cpi);
-    // Slide the analysis window across the run (50% overlap) so the
-    // stability filter only keeps associations that hold in any window
-    // position - the same footing diagnosis-time matrices are computed on.
-    const size_t n = node.cpi.size();
-    const size_t window = config_.analysis_window > 0
-                              ? static_cast<size_t>(config_.analysis_window)
-                              : n;
-    if (window >= n) {
-      slices.push_back(SliceTask{&node, 0, window});
-    } else {
-      // The stride must never be 0 (window == 1 would otherwise loop on
-      // s = 0 forever).
-      const size_t stride = std::max<size_t>(1, window / 2);
-      size_t last = 0;
-      for (size_t s = 0; s + window <= n; s += stride) {
-        slices.push_back(SliceTask{&node, s, window});
-        last = s;
-      }
-      if (last + window < n) slices.push_back(SliceTask{&node, n - window,
-                                                        window});
-    }
+    nodes.push_back(&node);
   }
   // Incremental retrain: the previous epoch's snapshot carries the mining
-  // records (matrices + digests) of its slices. When this retrain lines up
-  // with it - same engine, same window config, same slice count - each
-  // slice hands its predecessor to ComputeAssociationMatrix as a prior and
-  // only digest-dirty pairs are rescored. Misalignment just means a cold
-  // mine; the records repopulate either way.
+  // records (matrices + digests) of its examples. When this retrain lines
+  // up with it - same engine, same example count - each example hands its
+  // predecessor to ComputeAssociationMatrix as a prior and only digest-dirty
+  // pairs are rescored. Misalignment just means a cold mine; the records
+  // repopulate either way.
   std::shared_ptr<const ContextModel> previous = Snapshot(Key(context));
   const std::string engine_name = engine->name();
-  const size_t window_config =
-      config_.analysis_window > 0
-          ? static_cast<size_t>(config_.analysis_window)
-          : 0;
   const MiningSnapshot* prior_mining = nullptr;
   if (previous != nullptr && previous->mining.engine == engine_name &&
-      previous->mining.analysis_window == window_config &&
-      previous->mining.records.size() == slices.size()) {
+      previous->mining.records.size() == nodes.size()) {
     prior_mining = &previous->mining;
   }
-  std::vector<AssociationMatrix> matrices(slices.size());
-  std::vector<MatrixMiningRecord> records(slices.size());
+  std::vector<AssociationMatrix> matrices(nodes.size());
+  std::vector<MatrixMiningRecord> records(nodes.size());
   std::atomic<int> pairs_rescored{0};
   std::atomic<int> pairs_reused{0};
   const AssociationOptions assoc = AssocOptions();
   obs::Span mine_span("mine_invariants",
-                      {{"slices", slices.size()},
+                      {{"examples", nodes.size()},
                        {"incremental", prior_mining != nullptr}});
   INVARNETX_RETURN_IF_ERROR(ParallelFor(
-      slices.size(), config_.num_threads, [&](size_t i) -> Status {
-        const SliceTask& task = slices[i];
-        const telemetry::NodeTrace sliced =
-            SliceNode(*task.node, task.start, task.window);
+      nodes.size(), config_.num_threads, [&](size_t i) -> Status {
         IncrementalMatrixStats stats;
         Result<AssociationMatrix> matrix = ComputeAssociationMatrix(
-            sliced, *engine, assoc,
+            *nodes[i], *engine, assoc,
             prior_mining == nullptr ? nullptr : &prior_mining->records[i],
             &records[i], &stats);
         if (!matrix.ok()) return matrix.status();
@@ -240,7 +167,6 @@ Status InvarNetX::TrainContextFromExamples(
   fresh->perf = std::move(perf.value());
   fresh->invariants = std::move(invariants.value());
   fresh->mining.engine = engine_name;
-  fresh->mining.analysis_window = window_config;
   fresh->mining.records = std::move(records);
   // Re-fetch the newest epoch for the signature carry-over: a signature
   // taught while this retrain was mining must not be dropped ("previous"
@@ -261,7 +187,6 @@ Status InvarNetX::TrainContextFromExamples(
       obs::LogLevel::kInfo, "trained context",
       {{"context", Key(context).ToString()},
        {"examples", examples.size()},
-       {"slices", slices.size()},
        {"invariants", num_invariants},
        {"incremental", prior_mining != nullptr},
        {"pairs_rescored", pairs_rescored.load(std::memory_order_relaxed)},
@@ -286,7 +211,7 @@ Status InvarNetX::AddSignature(const OperationContext& context,
   INVARNETX_RETURN_IF_ERROR(
       ValidateNode(abnormal_run.nodes[node_index], "AddSignature"));
   Result<AssociationMatrix> matrix =
-      AbnormalMatrix(*current, abnormal_run.nodes[node_index]);
+      AbnormalMatrix(abnormal_run.nodes[node_index]);
   if (!matrix.ok()) return matrix.status();
   Result<std::vector<uint8_t>> tuple = ComputeViolationTuple(
       current->invariants, matrix.value(), config_.epsilon);
@@ -363,17 +288,12 @@ Result<DiagnosisReport> InvarNetX::InferCause(const OperationContext& context,
   if (node_index >= run.nodes.size()) {
     return Status::InvalidArgument("InferCause: node index out of range");
   }
-  return InferCauseForNode(context, run.nodes[node_index]);
-}
-
-Result<DiagnosisReport> InvarNetX::InferCauseForNode(
-    const OperationContext& context, const telemetry::NodeTrace& node) const {
   std::shared_ptr<const ContextModel> model = Snapshot(Key(context));
   if (model == nullptr) {
     return Status::FailedPrecondition("InferCause: context not trained: " +
                                       context.ToString());
   }
-  return InferCauseForModel(*model, node);
+  return InferCauseForModel(*model, run.nodes[node_index]);
 }
 
 Result<DiagnosisReport> InvarNetX::InferCauseForModel(
@@ -387,7 +307,7 @@ Result<DiagnosisReport> InvarNetX::InferCauseForModel(
   const uint64_t hits_before = cache.hits();
   const uint64_t misses_before = cache.misses();
   const uint64_t matrix_start_us = obs::UptimeMicros();
-  Result<AssociationMatrix> matrix = AbnormalMatrix(model, node);
+  Result<AssociationMatrix> matrix = AbnormalMatrix(node);
   if (!matrix.ok()) return matrix.status();
   const double matrix_seconds =
       static_cast<double>(obs::UptimeMicros() - matrix_start_us) / 1e6;
@@ -439,18 +359,13 @@ Result<DiagnosisReport> InvarNetX::InferCauseForModel(
   // a low-confidence match. Pure function of the model snapshot and the
   // violation evidence - deterministic for every thread count.
   double causal_seconds = 0.0;
-  if (config_.causal_fallback && !report.known_problem &&
-      report.num_violations > 0) {
+  if (!report.known_problem && report.num_violations > 0) {
     const uint64_t causal_start_us = obs::UptimeMicros();
     Result<causal::InvariantGraph> graph = causal::BuildInvariantGraph(
         model.invariants.present, model.invariants.values, report.violations,
         report.deviations);
     if (!graph.ok()) return graph.status();
-    causal::RankingOptions ranking_options;
-    ranking_options.iterations = config_.causal_iterations;
-    ranking_options.damping = config_.causal_damping;
-    ranking_options.top_k = config_.causal_top_k;
-    report.suspects = causal::RankSuspects(graph.value(), ranking_options);
+    report.suspects = causal::RankSuspects(graph.value());
     report.used_causal_fallback = !report.suspects.empty();
     causal_seconds =
         static_cast<double>(obs::UptimeMicros() - causal_start_us) / 1e6;
@@ -484,16 +399,9 @@ AssociationOptions InvarNetX::AssocOptions() const {
 }
 
 Result<AssociationMatrix> InvarNetX::AbnormalMatrix(
-    const ContextModel& model, const telemetry::NodeTrace& node) const {
+    const telemetry::NodeTrace& node) const {
   const std::unique_ptr<AssociationEngine> engine =
       AssociationEngine::Make(config_.engine);
-  if (config_.analysis_window > 0 &&
-      node.cpi.size() > static_cast<size_t>(config_.analysis_window)) {
-    const size_t window = static_cast<size_t>(config_.analysis_window);
-    const size_t start = AnomalousWindowStart(model.perf, node.cpi, window);
-    return ComputeAssociationMatrix(SliceNode(node, start, window), *engine,
-                                    AssocOptions());
-  }
   // Whole-run matrices: the contrast between normal stretches (before and
   // after the problem) and the problem window is exactly what produces the
   // violation pattern, so no truncation is applied.

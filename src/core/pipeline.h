@@ -37,15 +37,6 @@ struct InvarNetXConfig {
   // gets hints - the violated association pairs - instead of a cause).
   double min_similarity = 0.25;
   size_t top_k = 5;
-  // Length (in ticks) of the window association matrices are computed
-  // over; 0 (the default, and the paper's formulation) uses the whole run.
-  // A nonzero window slides across each normal run during training and
-  // anchors on the most anomalous stretch of the CPI residuals during
-  // diagnosis. Note that a window fully inside a fault shows consistent -
-  // merely shifted - associations and therefore few violations; invariant
-  // violations arise from runs that mix normal and faulty data, which is
-  // why whole-run matrices diagnose better and are the default.
-  int analysis_window = 0;
   // Workers for invariant mining and the cluster scan (<= 0: one per
   // hardware thread; 1: serial). A runtime knob, not persisted with the
   // store; results are bit-identical for every value.
@@ -60,31 +51,20 @@ struct InvarNetXConfig {
   // uses a prior (see AssociationOptions::verify_incremental). CI/debug
   // only - it costs the cold recompute the incremental path exists to skip.
   bool verify_incremental = false;
-  // Causal-graph fallback engine: when no signature clears min_similarity
-  // (or the signature base is empty), rank suspect metrics over the
-  // broken-edge subgraph of the invariant network instead of reporting a
-  // low-confidence match. Deterministic for every thread count.
-  bool causal_fallback = true;
-  // Power-iteration count and damping of the propagation walk
-  // (causal::RankingOptions); suspects retained per report.
-  int causal_iterations = 64;
-  double causal_damping = 0.5;
-  size_t causal_top_k = 5;
 };
 
 // Provenance of the invariant mining that produced a ContextModel: the
-// per-slice association matrices together with the per-metric digests they
-// were scored over. Carried inside the published snapshot so the next
-// retrain of the same context can hand each slice its predecessor as an
-// incremental prior (the dirty-pair rule: only pairs whose series content
-// changed are rescored). Priors are matched positionally, which is only
-// attempted when engine, window and slice count all agree; content safety
-// comes from the digests themselves, so a stale or misaligned prior can
-// reduce reuse but never change a score.
+// per-example whole-run association matrices together with the per-metric
+// digests they were scored over. Carried inside the published snapshot so
+// the next retrain of the same context can hand each example its
+// predecessor as an incremental prior (the dirty-pair rule: only pairs
+// whose series content changed are rescored). Priors are matched
+// positionally, which is only attempted when engine and example count
+// agree; content safety comes from the digests themselves, so a stale or
+// misaligned prior can reduce reuse but never change a score.
 struct MiningSnapshot {
-  std::string engine;          // AssociationEngine::name() records used
-  size_t analysis_window = 0;  // config_.analysis_window at mining time
-  std::vector<MatrixMiningRecord> records;  // one per slice, slice order
+  std::string engine;  // AssociationEngine::name() records used
+  std::vector<MatrixMiningRecord> records;  // one per example, in order
 };
 
 // Everything InvarNet-X learned about one operation context. Context models
@@ -196,12 +176,6 @@ class InvarNetX {
                                      const telemetry::RunTrace& run,
                                      size_t node_index) const;
 
-  // Cause inference from a single node's series (streaming consumers that
-  // buffer their own observations).
-  Result<DiagnosisReport> InferCauseForNode(
-      const OperationContext& context,
-      const telemetry::NodeTrace& node) const;
-
   // Cause inference against an explicit model snapshot. This is the
   // retrain-safe entry point the online monitors use: the caller pins the
   // epoch it selected at job start and keeps diagnosing against it even if
@@ -234,10 +208,10 @@ class InvarNetX {
   // The mining execution knobs (thread count, cache) from this config.
   AssociationOptions AssocOptions() const;
 
-  // Association matrix of the configured analysis window with the largest
-  // CPI residual mass (data "during the problem").
+  // Association matrix of the whole abnormal run (data before, during and
+  // after the problem).
   Result<AssociationMatrix> AbnormalMatrix(
-      const ContextModel& model, const telemetry::NodeTrace& node) const;
+      const telemetry::NodeTrace& node) const;
 
   // Current snapshot for an already-collapsed key; nullptr when untrained.
   std::shared_ptr<const ContextModel> Snapshot(

@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "core/causal_hints.h"
 #include "telemetry/metrics.h"
 
 namespace invarnetx::core {
@@ -51,8 +50,7 @@ const char* MetricFamily(int metric) {
 
 std::string RenderIncidentReport(const OperationContext& context,
                                  const DiagnosisReport& report,
-                                 const ContextModel& model, int run_ticks,
-                                 const telemetry::NodeTrace* node) {
+                                 const ContextModel& model, int run_ticks) {
   std::ostringstream out;
   out << "# Incident report - " << context.ToString() << "\n\n";
   if (!report.anomaly_detected) {
@@ -111,20 +109,6 @@ std::string RenderIncidentReport(const OperationContext& context,
       out << (i > 0 ? "; " : "") << report.hints[i];
     }
     out << "\n";
-  }
-
-  // Suspected origin: temporal precedence among the implicated metrics.
-  if (node != nullptr) {
-    Result<std::vector<CausalHint>> hints =
-        RankRootMetrics(report, model, *node);
-    if (hints.ok() && !hints.value().empty()) {
-      out << "\n## Suspected origin metrics (temporal precedence)\n\n";
-      for (size_t i = 0; i < hints.value().size() && i < 5; ++i) {
-        const CausalHint& hint = hints.value()[i];
-        out << (i + 1) << ". " << hint.metric_name << " (leads "
-            << hint.leads << ", led by " << hint.led_by << ")\n";
-      }
-    }
   }
 
   // Self-measured diagnosis cost (the Table 1 counterpart): rendered only
@@ -186,7 +170,7 @@ std::string RenderClusterReport(const InvarNetX& pipeline,
       pipeline.GetContext(context);
   if (model.ok()) {
     out << RenderIncidentReport(context, culprit.report, *model.value(),
-                                run_ticks, nullptr);
+                                run_ticks);
   }
   return out.str();
 }

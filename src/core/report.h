@@ -15,13 +15,10 @@ namespace invarnetx::core {
 //
 // `model` must be the context model the diagnosis ran against (for the
 // invariant pair names and the conflict scan); `run_ticks` sizes the
-// timeline line (pass 0 if unknown). When `node` is provided, a
-// "suspected origin metrics" section ranks the implicated metrics by
-// temporal precedence (see causal_hints.h).
+// timeline line (pass 0 if unknown).
 std::string RenderIncidentReport(const OperationContext& context,
                                  const DiagnosisReport& report,
-                                 const ContextModel& model, int run_ticks,
-                                 const telemetry::NodeTrace* node = nullptr);
+                                 const ContextModel& model, int run_ticks);
 
 // Renders a cluster-scan summary: one line per node plus the culprit's
 // full incident report.

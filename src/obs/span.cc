@@ -1,5 +1,6 @@
 #include "obs/span.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -318,8 +319,14 @@ void SlowSpanSampler::Offer(const TraceEvent& event) {
   // per_stage_ long, so a linear scan is the whole cost.
   auto it = kept.begin();
   while (it != kept.end() && it->dur_us >= event.dur_us) ++it;
-  kept.insert(it, event);
-  if (kept.size() > per_stage_) kept.pop_back();
+  if (kept.size() < per_stage_) {
+    kept.insert(it, event);
+    return;
+  }
+  // A full stage evicts its fastest span: copy-assign into that slot, which
+  // reuses its name and args buffers, and rotate it into place.
+  kept.back() = event;
+  std::rotate(it, kept.end() - 1, kept.end());
 }
 
 std::vector<TraceEvent> SlowSpanSampler::Snapshot() const {

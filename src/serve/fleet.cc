@@ -96,7 +96,6 @@ MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
           ? 0
           : config_.expected_monitors / static_cast<size_t>(shards) + 1;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Shared();
-  active_monitors_gauge_ = &registry.GetGauge("serve.active_monitors");
   alarms_active_gauge_ = &registry.GetGauge("serve.alarms_active");
   diagnosis_backlog_gauge_ = &registry.GetGauge("serve.diagnosis_backlog");
   ingest_p99_gauge_ = &registry.GetGauge("serve.ingest_p99_seconds");
@@ -140,7 +139,6 @@ MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
     slots_.reserve(config_.expected_monitors);
     shard_of_.reserve(config_.expected_monitors);
     local_of_.reserve(config_.expected_monitors);
-    job_active_.reserve(config_.expected_monitors);
     seen_stamp_.reserve(config_.expected_monitors);
   }
   shard_count_scratch_.resize(static_cast<size_t>(shards), 0);
@@ -182,7 +180,6 @@ Result<MonitorHandle> MonitorFleet::StartJob(
     slots_.push_back(ColdSlot{context, nullptr});
     shard_of_.push_back(shard_index);
     local_of_.push_back(local);
-    job_active_.push_back(0);
     seen_stamp_.push_back(0);
 
     ShardHot& hot = shard.hot;
@@ -234,10 +231,6 @@ Result<MonitorHandle> MonitorFleet::StartJob(
   hot.window_head[local] = 0;
   interesting_.erase(handle);
 
-  if (job_active_[h] == 0) {
-    job_active_[h] = 1;
-    ++active_jobs_;
-  }
   // New job era: the next backpressure reject per shard is journal-worthy
   // again.
   for (auto& s : shards_) s->backpressure_journaled = false;
@@ -309,11 +302,6 @@ Result<TickSummary> MonitorFleet::IngestTick(
     if (handle < 0 || static_cast<size_t>(handle) >= slots_.size()) {
       return Status::NotFound("IngestTick: no monitor has handle " +
                               std::to_string(handle));
-    }
-    if (job_active_[static_cast<size_t>(handle)] == 0) {
-      return Status::FailedPrecondition("IngestTick: no active monitor for " +
-                                        slots_[static_cast<size_t>(handle)]
-                                            .context.ToString());
     }
     if (seen_stamp_[static_cast<size_t>(handle)] == tick_stamp_) {
       return Status::InvalidArgument("IngestTick: duplicate sample for " +
@@ -613,7 +601,6 @@ MonitorView MonitorFleet::ViewLocked(MonitorHandle handle) const {
   view.context = slots_[h].context;
   view.handle = handle;
   view.shard = static_cast<int>(shard_of_[h]);
-  view.job_active = job_active_[h] != 0;
   view.alarm_active = hot.alarm[local] != kAlarmNone;
   view.epoch = hot.epoch[local];
   view.first_alarm_tick = hot.first_alarm_tick[local];
@@ -631,7 +618,6 @@ MonitorStatus MonitorFleet::StatusRow(MonitorHandle handle) const {
   MonitorStatus row;
   row.context = view.context.ToString();
   row.shard = view.shard;
-  row.job_active = view.job_active;
   row.alarm_active = view.alarm_active;
   row.epoch = view.epoch;
   row.first_alarm_tick = view.first_alarm_tick;
@@ -653,7 +639,6 @@ std::optional<MonitorView> MonitorFleet::View(
 }
 
 void MonitorFleet::PublishGauges() {
-  active_monitors_gauge_->Set(static_cast<double>(active_jobs_));
   alarms_active_gauge_->Set(static_cast<double>(alarms_latched_));
 }
 
@@ -725,7 +710,6 @@ void MonitorFleet::RunWatchdogs(int new_alarms, double ingest_seconds) {
 
 void MonitorFleet::RefreshStatusCache() {
   FleetStatus status;
-  status.active_monitors = active_jobs_;
   status.monitors_total = slots_.size();
   status.alarms_active = alarms_latched_;
   status.ticks_ingested = ticks_ingested_;

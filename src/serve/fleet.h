@@ -110,7 +110,6 @@ struct TickSummary {
 struct MonitorStatus {
   std::string context;  // OperationContext::ToString()
   int shard = 0;
-  bool job_active = false;
   bool alarm_active = false;
   uint64_t epoch = 0;
   int first_alarm_tick = -1;
@@ -132,7 +131,6 @@ struct ShardStatus {
 // a cache the ingestion thread maintains - HTTP scrapes never touch the
 // monitor state itself).
 struct FleetStatus {
-  size_t active_monitors = 0;
   size_t monitors_total = 0;
   size_t alarms_active = 0;
   size_t pending_diagnoses = 0;
@@ -159,7 +157,6 @@ struct MonitorView {
   core::OperationContext context;
   MonitorHandle handle = kInvalidMonitor;
   int shard = 0;
-  bool job_active = false;
   bool alarm_active = false;
   uint64_t epoch = 0;           // model epoch pinned at StartJob
   int first_alarm_tick = -1;    // absolute job tick; -1 if none
@@ -213,7 +210,6 @@ struct FleetDiagnosis {
 // every monitor pins its model epoch at StartJob.
 //
 // Self-observability (obs::MetricsRegistry::Shared()):
-//   gauge     serve.active_monitors       monitors with an active job
 //   gauge     serve.alarms_active         latched alarms across the fleet
 //   gauge     serve.diagnosis_backlog     diagnoses in flight right now
 //   gauge     serve.ingest_p99_seconds    p99 over the watchdog window
@@ -260,7 +256,6 @@ class MonitorFleet {
   // full set is wanted.
   std::vector<FleetDiagnosis> TakeDiagnoses();
 
-  size_t active_monitors() const { return active_jobs_; }
   size_t alarms_active() const { return alarms_latched_; }
   size_t monitor_count() const { return slots_.size(); }
   size_t pending_diagnoses() const;
@@ -382,7 +377,6 @@ class MonitorFleet {
   std::vector<ColdSlot> slots_;            // handle -> cold state
   std::vector<uint32_t> shard_of_;         // handle -> shard
   std::vector<uint32_t> local_of_;         // handle -> shard-local index
-  std::vector<uint8_t> job_active_;        // handle -> armed?
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Per-tick scratch, reused so steady-state ingest is allocation-free.
@@ -401,7 +395,6 @@ class MonitorFleet {
 
   // Registry handles bound once at construction, like the shard counters:
   // StartJob and IngestTick never look a metric up by name.
-  obs::Gauge* active_monitors_gauge_ = nullptr;
   obs::Gauge* alarms_active_gauge_ = nullptr;
   obs::Gauge* diagnosis_backlog_gauge_ = nullptr;
   obs::Gauge* ingest_p99_gauge_ = nullptr;
@@ -422,7 +415,6 @@ class MonitorFleet {
   // Lifetime tallies mirrored into FleetStatus (the shared registry's
   // counters are process-wide; these are this fleet's own). Maintained
   // incrementally - no O(monitors) scans on the ingest path.
-  size_t active_jobs_ = 0;
   size_t alarms_latched_ = 0;
   uint64_t ticks_ingested_ = 0;
   uint64_t samples_ingested_ = 0;

@@ -182,6 +182,12 @@ FleetConfig MakeScenarioFleetConfig(const ReplayOptions& options,
   return fleet_config;
 }
 
+std::string ReplaySummaryLine(uint64_t alarms, int runs, size_t monitors) {
+  return "summary: " + std::to_string(alarms) + " alarm(s) over " +
+         std::to_string(runs) + " run(s) x " + std::to_string(monitors) +
+         " monitor(s)\n";
+}
+
 Result<std::string> ReplayScenario(const campaign::Scenario& scenario,
                                    const ReplayOptions& options) {
   Result<ScenarioFleetPlan> prepared = PrepareScenarioFleet(scenario, options);
@@ -204,7 +210,7 @@ Result<std::string> ReplayScenario(const campaign::Scenario& scenario,
   std::ostringstream out;
   out << plan.header;
 
-  int total_alarms = 0;
+  uint64_t total_alarms = 0;
   for (int rep = 0; rep < runs; ++rep) {
     Result<telemetry::RunTrace> trace =
         campaign::SimulateScenarioTestRun(scenario, rep);
@@ -224,7 +230,7 @@ Result<std::string> ReplayScenario(const campaign::Scenario& scenario,
     const std::vector<FleetDiagnosis> diagnoses = fleet.TakeDiagnoses();
     out << "== run " << rep << " ==\n";
     RenderVerdicts(fleet, ToArmedContexts(armed), diagnoses, &out);
-    total_alarms += static_cast<int>(fleet.alarms_active());
+    total_alarms += fleet.alarms_active();
     if (options.retrain_each_run) {
       // Incremental retrain between runs: every context re-mines from the
       // same fault-free streams, so the published epoch advances while the
@@ -247,8 +253,7 @@ Result<std::string> ReplayScenario(const campaign::Scenario& scenario,
           << (reused_counter.value() - reused_before) << "\n";
     }
   }
-  out << "summary: " << total_alarms << " alarm(s) over " << runs
-      << " run(s) x " << armed.size() << " monitor(s)\n";
+  out << ReplaySummaryLine(total_alarms, runs, armed.size());
   return out.str();
 }
 
@@ -266,15 +271,10 @@ Result<std::string> ReplayTrace(const core::InvarNetX& pipeline,
         telemetry::JobSpanInfo{trace.workload, 0, trace.ticks});
   }
 
-  FleetConfig fleet_config;
-  fleet_config.window_capacity = options.window_capacity;
-  fleet_config.threads = options.threads;
-  fleet_config.shards = options.shards;
-  fleet_config.ring_capacity = options.ring_capacity;
   // Sizing hint: one monitor per node (a FIFO-sequence trace arms one per
   // node and job type, so the hint is a lower bound there).
-  fleet_config.expected_monitors = trace.nodes.size();
-  MonitorFleet fleet(&pipeline, fleet_config);
+  MonitorFleet fleet(&pipeline,
+                     MakeScenarioFleetConfig(options, trace.nodes.size()));
 
   std::ostringstream out;
   for (size_t j = 0; j < spans.size(); ++j) {

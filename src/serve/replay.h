@@ -82,6 +82,11 @@ Result<ScenarioFleetPlan> PrepareScenarioFleet(
 FleetConfig MakeScenarioFleetConfig(const ReplayOptions& options,
                                     size_t expected_monitors);
 
+// The closing line of a scenario replay, "summary: N alarm(s) over R run(s)
+// x M monitor(s)", shared by --replay and the socket ingest mode so the two
+// outputs diff clean.
+std::string ReplaySummaryLine(uint64_t alarms, int runs, size_t monitors);
+
 // Replays a fault-injection scenario through a MonitorFleet: simulates the
 // scenario's fault-free runs, trains every slave's operation context,
 // teaches the victim context the scenario's signature catalog, then streams

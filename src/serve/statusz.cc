@@ -58,8 +58,7 @@ FleetStatusBoard& FleetStatusBoard::Shared() {
 
 std::string RenderFleetStatus(const FleetStatus& status) {
   std::string out;
-  out += "  active_monitors=" + std::to_string(status.active_monitors);
-  out += " monitors_total=" + std::to_string(status.monitors_total);
+  out += "  monitors_total=" + std::to_string(status.monitors_total);
   out += " alarms_active=" + std::to_string(status.alarms_active);
   out += " pending_diagnoses=" + std::to_string(status.pending_diagnoses);
   out += "\n  ticks_ingested=" + std::to_string(status.ticks_ingested);
@@ -90,8 +89,6 @@ std::string RenderFleetStatus(const FleetStatus& status) {
   for (const MonitorStatus& monitor : status.monitors) {
     out += "  monitor " + monitor.context;
     out += " shard=" + std::to_string(monitor.shard);
-    out += " job_active=";
-    out += monitor.job_active ? "true" : "false";
     out += " alarm=";
     out += monitor.alarm_active ? "true" : "false";
     out += " epoch=" + std::to_string(monitor.epoch);

@@ -379,5 +379,26 @@ TEST(DegenerateSeriesTest, EnginesScoreDegeneratePairsZero) {
   }
 }
 
+// MIC needs 4 points for its smallest grid: a shorter pair carries no
+// association and scores 0.0, not an error, however strongly it co-varies.
+// A whole 3-tick run mines to an all-zero matrix.
+TEST(DegenerateSeriesTest, EnginesScoreSubFourTickPairsZero) {
+  const std::vector<double> x = {1.0, 3.0, 2.0};
+  const std::vector<double> y = {2.0, 6.0, 4.0};
+  const telemetry::NodeTrace node = RandomNode(11, /*ticks=*/3);
+  for (AssociationEngineType type :
+       {AssociationEngineType::kMic, AssociationEngineType::kEnsemble}) {
+    std::unique_ptr<AssociationEngine> engine = AssociationEngine::Make(type);
+    Result<double> score = engine->Score(x, y);
+    ASSERT_TRUE(score.ok()) << engine->name();
+    EXPECT_EQ(score.value(), 0.0) << engine->name();
+    Result<AssociationMatrix> matrix = ComputeAssociationMatrix(node, *engine);
+    ASSERT_TRUE(matrix.ok()) << engine->name();
+    for (double value : matrix.value()) {
+      EXPECT_EQ(value, 0.0) << engine->name();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace invarnetx::core

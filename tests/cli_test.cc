@@ -238,6 +238,23 @@ TEST_F(CliWorkflowTest, SequenceTraceDiagnosedPerJobSpan) {
   EXPECT_NE(out.find("== job 0 (grep"), std::string::npos) << out;
   EXPECT_NE(out.find("== job 1 (wordcount"), std::string::npos) << out;
   EXPECT_NE(out.find("context not trained"), std::string::npos) << out;
+  // Each span block is the single-trace output: its verdict lines, not a
+  // format of its own.
+  EXPECT_TRUE(out.find("\n10.0.0.2: no anomaly\n") != std::string::npos ||
+              out.find("\n10.0.0.2: ANOMALY at tick ") != std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("healthy"), std::string::npos) << out;
+  EXPECT_EQ(out.find("ANOMALOUS"), std::string::npos) << out;
+
+  // One incident report cannot cover several jobs: --report is refused, not
+  // silently dropped.
+  const Status refused =
+      RunDiagnose(Parse({"diagnose", "--store", store.c_str(), "--report",
+                         Path("seq.md").c_str(), seq.c_str()}),
+                  &out);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_FALSE(fs::exists(Path("seq.md")));
 }
 
 TEST_F(CliWorkflowTest, DiagnoseNeedsStore) {

@@ -20,6 +20,8 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 
+#include "alloc_counter.h"
+
 namespace invarnetx {
 namespace {
 
@@ -617,6 +619,30 @@ TEST(SpanTest, SlowSpanSamplerKeepsSlowestPerStage) {
   sampler.Clear();
   EXPECT_EQ(sampler.offered(), 0u);
   EXPECT_TRUE(sampler.Snapshot().empty());
+}
+
+// Once a stage is full, keeping a slower span reuses the evicted slot's
+// buffers: a long tick must not allocate in the sampler.
+TEST(SpanTest, FullStageKeepsASlowerSpanWithoutAllocating) {
+  obs::SlowSpanSampler sampler(2);
+  obs::TraceEvent event;
+  event.name = "a_stage_name_past_the_small_string_buffer";
+  event.args = {{"samples", "2000"}};
+  for (uint64_t dur : {10u, 20u}) {
+    event.dur_us = dur;
+    sampler.Offer(event);
+  }
+  event.dur_us = 15;
+  const uint64_t before = testing_alloc::HeapAllocations();
+  sampler.Offer(event);
+  EXPECT_EQ(testing_alloc::HeapAllocations() - before, 0u);
+
+  const std::vector<obs::TraceEvent> kept = sampler.Snapshot();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].dur_us, 20u);
+  EXPECT_EQ(kept[1].dur_us, 15u);
+  EXPECT_EQ(kept[1].name, event.name);
+  EXPECT_EQ(kept[1].args, event.args);
 }
 
 TEST(SpanTest, EndedSpansFeedTheSharedSampler) {

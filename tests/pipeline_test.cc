@@ -63,36 +63,6 @@ TEST_F(PipelineTest, TrainingPopulatesContext) {
   EXPECT_EQ(model->sigdb.size(), 6u);
 }
 
-TEST_F(PipelineTest, TinyAnalysisWindowsTrainWithoutHanging) {
-  // Regression: analysis_window = 1 used to spin forever in the window
-  // layout (stride window/2 == 0 never advanced the slice start). Both
-  // degenerate widths must now lay out finitely and train to completion:
-  // sub-4-tick slices score every pair 0.0 (too short for MIC), so the
-  // stability filter keeps flat zero-valued invariants and the performance
-  // model still calibrates.
-  for (int window : {1, 2}) {
-    InvarNetXConfig config;
-    config.analysis_window = window;
-    InvarNetX tiny(config);
-    ASSERT_TRUE(tiny.TrainContext(kContext, *normal_, kVictim).ok())
-        << "analysis_window=" << window;
-    const std::shared_ptr<const ContextModel> model =
-        tiny.GetContext(kContext).value();
-    EXPECT_GT(model->perf.residual_max(), 0.0);
-    for (int pair : model->invariants.PairIndices()) {
-      EXPECT_EQ(model->invariants.values[static_cast<size_t>(pair)], 0.0);
-    }
-    // The online path degrades gracefully: detection still works, cause
-    // inference just has no invariants to violate.
-    auto run = SimulateFaultRun(WorkloadType::kWordCount,
-                                faults::FaultType::kCpuHog, 901);
-    Result<DiagnosisReport> report =
-        tiny.Diagnose(kContext, run.value(), kVictim);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report.value().num_violations, 0);
-  }
-}
-
 TEST_F(PipelineTest, EpochAdvancesAcrossRetrainsAndSnapshotsStayPinned) {
   InvarNetX fresh;
   ASSERT_TRUE(fresh.TrainContext(kContext, *normal_, kVictim).ok());
@@ -133,7 +103,7 @@ TEST_F(PipelineTest, RetrainOnUnchangedDataReusesEveryPairScore) {
       fresh.GetContext(kContext).value();
   ASSERT_FALSE(cold->mining.records.empty());
 
-  // Same examples again: every slice digest matches the carried mining
+  // Same examples again: every series digest matches the carried mining
   // snapshot, so no pair is rescored and the published invariants are
   // byte-identical.
   const uint64_t rescored_before = rescored.value();
@@ -149,7 +119,7 @@ TEST_F(PipelineTest, RetrainOnUnchangedDataReusesEveryPairScore) {
   EXPECT_EQ(warm->invariants.PairIndices(), cold->invariants.PairIndices());
 
   // One perturbed tick in one metric of one run dirties only that run's
-  // slices; the rest of the fleet of pair scores is still reused.
+  // matrix; the rest of the fleet of pair scores is still reused.
   std::vector<telemetry::RunTrace> perturbed = *normal_;
   perturbed[0].nodes[kVictim].metrics[5][3] += 1.0;
   const uint64_t rescored_mid = rescored.value();
