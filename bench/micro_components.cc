@@ -115,12 +115,10 @@ void BM_MicScoreWorkspace(benchmark::State& state) {
   const std::vector<double> y = NoisyLine(n, 2);
   invarnetx::mic::MicWorkspace workspace;
   benchmark::DoNotOptimize(
-      invarnetx::mic::MicScore(x, y, invarnetx::mic::MicOptions(),
-                               &workspace));  // warm the buffers
+      invarnetx::mic::MicScore(x, y, &workspace));  // warm the buffers
   const uint64_t allocs_before = HeapAllocations();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(invarnetx::mic::MicScore(
-        x, y, invarnetx::mic::MicOptions(), &workspace));
+    benchmark::DoNotOptimize(invarnetx::mic::MicScore(x, y, &workspace));
   }
   ReportAllocsPerCall(state, allocs_before);
 }
@@ -138,12 +136,10 @@ void BM_MicScoreWorkspaceScalar(benchmark::State& state) {
   const std::vector<double> y = NoisyLine(n, 2);
   invarnetx::mic::MicWorkspace workspace;
   benchmark::DoNotOptimize(
-      invarnetx::mic::MicScore(x, y, invarnetx::mic::MicOptions(),
-                               &workspace));  // warm the buffers
+      invarnetx::mic::MicScore(x, y, &workspace));  // warm the buffers
   const uint64_t allocs_before = HeapAllocations();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(invarnetx::mic::MicScore(
-        x, y, invarnetx::mic::MicOptions(), &workspace));
+    benchmark::DoNotOptimize(invarnetx::mic::MicScore(x, y, &workspace));
   }
   ReportAllocsPerCall(state, allocs_before);
   invarnetx::mic::SetSimdLevel(saved);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/log.h"
 #include "telemetry/metrics.h"
 
 namespace invarnetx::campaign {
@@ -16,21 +17,6 @@ std::string Fixed(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return buf;
-}
-
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 std::string GoldenPath(const std::string& golden_dir,
@@ -69,10 +55,10 @@ std::string RenderJson(const CampaignResult& result) {
   for (size_t i = 0; i < result.scores.size(); ++i) {
     const ScenarioScore& s = result.scores[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << JsonEscape(s.name) << "\", \"workload\": \""
+    out << "    {\"name\": " << obs::JsonString(s.name) << ", \"workload\": \""
         << workload::WorkloadName(s.workload) << "\", \"fault\": \""
-        << faults::FaultName(s.fault) << "\", \"expected_cause\": \""
-        << JsonEscape(s.expected_cause) << "\", \"hold_out\": "
+        << faults::FaultName(s.fault) << "\", \"expected_cause\": "
+        << obs::JsonString(s.expected_cause) << ", \"hold_out\": "
         << (s.hold_out ? "true" : "false")
         << ", \"test_runs\": " << s.test_runs
         << ", \"detected\": " << s.detected
@@ -95,9 +81,9 @@ std::string RenderJson(const CampaignResult& result) {
           << ", \"first_alarm_tick\": " << run.first_alarm_tick
           << ", \"num_violations\": " << run.num_violations
           << ", \"expected_rank\": " << run.expected_rank
-          << ", \"top_cause\": \""
-          << JsonEscape(run.causes.empty() ? "" : run.causes[0].problem)
-          << "\", \"causal_rank\": " << run.causal_rank
+          << ", \"top_cause\": "
+          << obs::JsonString(run.causes.empty() ? "" : run.causes[0].problem)
+          << ", \"causal_rank\": " << run.causal_rank
           << ", \"causal_fallback\": "
           << (run.used_causal_fallback ? "true" : "false")
           << ", \"top_suspect\": \""

@@ -12,37 +12,18 @@ const NodeSpec kSlaveProfiles[] = {
     {8, 2.1, 16384.0, 95.0, 1000.0, 1.05},
 };
 
-Cluster Build(int num_slaves, const NodeSpec* uniform_spec) {
+}  // namespace
+
+Cluster Cluster::MakeTestbed(int num_slaves) {
   Cluster cluster;
   for (int i = 0; i <= num_slaves; ++i) {
     SimNode node;
     node.ip = "10.0.0." + std::to_string(i + 1);
     node.role = i == 0 ? NodeRole::kMaster : NodeRole::kSlave;
-    if (uniform_spec != nullptr) {
-      node.spec = *uniform_spec;
-    } else {
-      node.spec = i == 0 ? NodeSpec() : kSlaveProfiles[(i - 1) % 4];
-    }
+    node.spec = i == 0 ? NodeSpec() : kSlaveProfiles[(i - 1) % 4];
     cluster.nodes().push_back(std::move(node));
   }
   return cluster;
-}
-
-}  // namespace
-
-Cluster Cluster::MakeTestbed(int num_slaves) {
-  return Build(num_slaves, nullptr);
-}
-
-Cluster Cluster::MakeUniformTestbed(int num_slaves, const NodeSpec& spec) {
-  return Build(num_slaves, &spec);
-}
-
-Result<size_t> Cluster::IndexOf(const std::string& ip) const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].ip == ip) return i;
-  }
-  return Status::NotFound("no node with ip " + ip);
 }
 
 }  // namespace invarnetx::cluster

@@ -56,10 +56,6 @@ class Cluster {
   // and heterogeneity is what per-node operation contexts adapt to).
   static Cluster MakeTestbed(int num_slaves = 4);
 
-  // Same, but every node uses the given spec (homogeneous).
-  static Cluster MakeUniformTestbed(int num_slaves,
-                                    const NodeSpec& spec = NodeSpec());
-
   size_t size() const { return nodes_.size(); }
   SimNode& node(size_t i) { return nodes_[i]; }
   const SimNode& node(size_t i) const { return nodes_[i]; }
@@ -69,9 +65,6 @@ class Cluster {
   size_t num_slaves() const { return nodes_.size() - 1; }
   SimNode& slave(size_t i) { return nodes_[i + 1]; }
   const SimNode& slave(size_t i) const { return nodes_[i + 1]; }
-
-  // Index of the node with the given ip, or error.
-  Result<size_t> IndexOf(const std::string& ip) const;
 
   std::vector<SimNode>& nodes() { return nodes_; }
   const std::vector<SimNode>& nodes() const { return nodes_; }

@@ -5,12 +5,6 @@
 
 namespace invarnetx {
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::Transposed() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {

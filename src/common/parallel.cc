@@ -73,10 +73,6 @@ ThreadPool::ThreadPool(int num_threads) {
   EnsureSize(EffectiveThreadCount(num_threads));
 }
 
-ThreadPool::ThreadPool(int num_threads, SharedTag) : report_metrics_(true) {
-  EnsureSize(EffectiveThreadCount(num_threads));
-}
-
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -119,20 +115,17 @@ void ThreadPool::EnsureSize(int num_threads) {
     }
     new_size = static_cast<int>(workers_.size());
   }
-  if (report_metrics_) PublishSizeGauge(new_size);
+  PublishSizeGauge(new_size);
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* pool = new ThreadPool(0, SharedTag{});
+  static ThreadPool* pool = new ThreadPool(0);
   return *pool;
 }
 
 void ThreadPool::WorkerLoop(int worker_index) {
-  obs::Gauge* busy = nullptr;
-  if (report_metrics_) {
-    busy = &obs::MetricsRegistry::Shared().GetGauge(
-        "threadpool.busy_seconds.w" + std::to_string(worker_index));
-  }
+  obs::Gauge& busy = obs::MetricsRegistry::Shared().GetGauge(
+      "threadpool.busy_seconds.w" + std::to_string(worker_index));
   for (;;) {
     PendingTask task;
     {
@@ -142,20 +135,16 @@ void ThreadPool::WorkerLoop(int worker_index) {
       task = std::move(tasks_.front());
       tasks_.pop_front();
     }
-    if (report_metrics_) {
-      PoolMetrics& metrics = PoolMetrics::Get();
-      const uint64_t start_us = obs::UptimeMicros();
-      metrics.queue_wait.Record(
-          static_cast<double>(start_us - task.enqueue_us) / 1e6);
-      task.fn();
-      const double seconds =
-          static_cast<double>(obs::UptimeMicros() - start_us) / 1e6;
-      metrics.task_seconds.Record(seconds);
-      metrics.tasks_executed.Increment();
-      busy->Add(seconds);
-    } else {
-      task.fn();
-    }
+    PoolMetrics& metrics = PoolMetrics::Get();
+    const uint64_t start_us = obs::UptimeMicros();
+    metrics.queue_wait.Record(
+        static_cast<double>(start_us - task.enqueue_us) / 1e6);
+    task.fn();
+    const double seconds =
+        static_cast<double>(obs::UptimeMicros() - start_us) / 1e6;
+    metrics.task_seconds.Record(seconds);
+    metrics.tasks_executed.Increment();
+    busy.Add(seconds);
   }
 }
 

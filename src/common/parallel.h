@@ -22,18 +22,15 @@ int EffectiveThreadCount(int requested);
 // pathological configuration values, far above any real core count here.
 inline constexpr int kMaxThreads = 256;
 
-// A small reusable pool of worker threads fed from one FIFO task queue.
-// Most callers never touch it directly and go through ParallelFor below;
-// it is exposed for components that want a private pool (e.g. benchmarks
-// comparing worker counts without interference).
+// The process-wide pool of worker threads, fed from one FIFO task queue.
+// Most callers never touch it directly and go through ParallelFor below.
 //
 // The pool grows on demand (EnsureSize) and never shrinks; idle workers
 // block on a condition variable and cost nothing. Tasks must not block on
 // other tasks' completion - ParallelFor's caller-participates design keeps
 // that property for the fan-outs in this codebase.
 //
-// Self-observability (all in obs::MetricsRegistry::Shared(), shared-pool
-// instances only so private bench pools do not pollute the process view):
+// Self-observability (all in obs::MetricsRegistry::Shared()):
 //   counter   threadpool.tasks_executed    tasks run to completion
 //   histogram threadpool.queue_wait        Submit -> dequeue latency (s)
 //   histogram threadpool.task_seconds      task execution wall time (s)
@@ -44,8 +41,6 @@ inline constexpr int kMaxThreads = 256;
 // idempotent), so exports never show duplicates.
 class ThreadPool {
  public:
-  // Starts `num_threads` workers (<= 0: one per hardware thread).
-  explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,16 +54,15 @@ class ThreadPool {
   // Grows the worker set to at least `num_threads` (capped at kMaxThreads).
   void EnsureSize(int num_threads);
 
-  // The process-wide pool shared by every ParallelFor call. Sized to the
-  // hardware concurrency at first use; grows when a caller explicitly asks
-  // for more workers. Intentionally leaked so worker threads never race
-  // static destruction at exit.
+  // The pool shared by every ParallelFor call. Sized to the hardware
+  // concurrency at first use; grows when a caller explicitly asks for more
+  // workers. Intentionally leaked so worker threads never race static
+  // destruction at exit.
   static ThreadPool& Shared();
 
  private:
-  // Tag for the metrics-reporting shared instance.
-  struct SharedTag {};
-  ThreadPool(int num_threads, SharedTag);
+  // Starts `num_threads` workers (<= 0: one per hardware thread).
+  explicit ThreadPool(int num_threads);
 
   struct PendingTask {
     std::function<void()> fn;
@@ -78,7 +72,6 @@ class ThreadPool {
   void WorkerLoop(int worker_index);
   void PublishSizeGauge(int size);
 
-  const bool report_metrics_ = false;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<PendingTask> tasks_;

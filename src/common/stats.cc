@@ -22,14 +22,6 @@ double Variance(const std::vector<double>& v) {
   return acc / static_cast<double>(v.size());
 }
 
-double SampleStdDev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  const double m = Mean(v);
-  double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(v.size() - 1));
-}
-
 double Min(const std::vector<double>& v) {
   return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
 }
@@ -159,16 +151,6 @@ Result<ProportionInterval> WilsonInterval(int successes, int trials,
   ProportionInterval out;
   out.lo = std::max(0.0, center - margin);
   out.hi = std::min(1.0, center + margin);
-  return out;
-}
-
-std::vector<double> MinMaxScale(const std::vector<double>& v) {
-  if (v.empty()) return {};
-  const double lo = Min(v);
-  const double hi = Max(v);
-  std::vector<double> out(v.size(), 0.0);
-  if (hi - lo <= 0.0) return out;
-  for (size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - lo) / (hi - lo);
   return out;
 }
 

@@ -17,9 +17,6 @@ double Mean(const std::vector<double>& v);
 // Population variance (divide by n). Returns 0 for series shorter than 2.
 double Variance(const std::vector<double>& v);
 
-// Sample standard deviation (divide by n-1). Returns 0 for n < 2.
-double SampleStdDev(const std::vector<double>& v);
-
 double Min(const std::vector<double>& v);
 double Max(const std::vector<double>& v);
 
@@ -47,9 +44,6 @@ double PolyEval(const std::vector<double>& coeffs, double x);
 // Divides every element by the minimum of the series (the normalization the
 // paper applies in Fig. 4). Requires min > 0.
 Result<std::vector<double>> NormalizeToMin(const std::vector<double>& v);
-
-// Min-max scales into [0, 1]; constant series map to all-zeros.
-std::vector<double> MinMaxScale(const std::vector<double>& v);
 
 // Average ranks (1-based) with ties sharing the mean rank.
 std::vector<double> AverageRanks(const std::vector<double>& v);

@@ -11,8 +11,6 @@ const char* CodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kInternal:

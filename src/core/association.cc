@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "arx/arx.h"
@@ -50,7 +49,7 @@ class MicEngine : public AssociationEngine {
     if (x.size() < kMinScoreableTicks || y.size() < kMinScoreableTicks) {
       return 0.0;
     }
-    return mic::MicScore(x, y, mic::MicOptions(), &WorkerMicWorkspace());
+    return mic::MicScore(x, y, &WorkerMicWorkspace());
   }
 };
 
@@ -69,7 +68,7 @@ class EnsembleEngine : public AssociationEngine {
       return 0.0;
     }
     Result<double> mic_score =
-        mic::MicScore(x, y, mic::MicOptions(), &WorkerMicWorkspace());
+        mic::MicScore(x, y, &WorkerMicWorkspace());
     if (!mic_score.ok()) return mic_score.status();
     Result<double> rank = SpearmanCorrelation(x, y);
     if (!rank.ok()) return rank.status();
@@ -105,15 +104,6 @@ size_t TraceTicks(const telemetry::NodeTrace& node) {
     if (!series.empty()) return series.size();
   }
   return 0;
-}
-
-// Process-wide switch for the incremental byte-identity oracle, read once.
-bool VerifyIncrementalEnv() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("INVARNETX_VERIFY_INCREMENTAL");
-    return v != nullptr && *v != '\0' && *v != '0';
-  }();
-  return enabled;
 }
 
 }  // namespace
@@ -251,8 +241,7 @@ Result<AssociationMatrix> ComputeAssociationMatrix(
   // Byte-identity oracle: a prior must never change the result, only the
   // cost. Recomputes cold (no prior, no cache - the exact fallback path)
   // and compares raw bytes.
-  if (prior != nullptr &&
-      (options.verify_incremental || VerifyIncrementalEnv())) {
+  if (prior != nullptr && options.verify_incremental) {
     AssociationOptions cold_options = options;
     cold_options.use_cache = false;
     cold_options.verify_incremental = false;

@@ -77,9 +77,7 @@ struct AssociationOptions {
   bool use_cache = false;
   // Oracle for the incremental path: when a prior record is supplied, also
   // run the cold full recompute and fail with Internal if the two matrices
-  // are not byte-identical. Costs the full compute - CI/debug only. The
-  // INVARNETX_VERIFY_INCREMENTAL=1 environment variable forces this on
-  // process-wide.
+  // are not byte-identical. Costs the full compute - CI/debug only.
   bool verify_incremental = false;
 };
 
@@ -123,8 +121,8 @@ Result<AssociationMatrix> ComputeAssociationMatrix(
 // use as the next prior. `stats` (nullable) receives the rescored/reused
 // split. The result is byte-identical to a cold full recompute for every
 // prior (enforced by tests, and at runtime when options.verify_incremental
-// or INVARNETX_VERIFY_INCREMENTAL=1 is set); a stale or mismatched prior
-// only reduces the reuse rate, never correctness.
+// is set); a stale or mismatched prior only reduces the reuse rate, never
+// correctness.
 Result<AssociationMatrix> ComputeAssociationMatrix(
     const telemetry::NodeTrace& node, const AssociationEngine& engine,
     const AssociationOptions& options, const MatrixMiningRecord* prior,

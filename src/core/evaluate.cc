@@ -1,9 +1,9 @@
 #include "core/evaluate.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iterator>
-#include <thread>
+
+#include "common/parallel.h"
 
 namespace invarnetx::core {
 namespace {
@@ -129,13 +129,11 @@ Result<EvalResult> RunEvaluation(const EvalConfig& config) {
   }
 
   // Each test run (simulate + diagnose) is independent and Diagnose is
-  // const, so the campaign fans the runs out over a small thread pool and
+  // const, so the campaign fans the runs out over the shared pool and
   // tallies sequentially afterwards.
   struct TestCase {
     size_t fault_index = 0;
     int rep = 0;
-    bool completed = false;
-    Status error = Status::Internal("not run");
     DiagnosisReport report;
   };
   std::vector<TestCase> cases;
@@ -149,42 +147,23 @@ Result<EvalResult> RunEvaluation(const EvalConfig& config) {
       cases.push_back(std::move(test));
     }
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const size_t num_workers =
-      std::max<size_t>(1, std::min<size_t>(hw == 0 ? 4 : hw, 8));
-  std::atomic<size_t> next_case{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t index = next_case.fetch_add(1);
-      if (index >= cases.size()) return;
-      TestCase& test = cases[index];
-      const faults::FaultType truth = fault_list[test.fault_index];
-      const uint64_t seed = config.seed + kTestStream +
-                            static_cast<uint64_t>(test.fault_index) * 1000 +
-                            static_cast<uint64_t>(test.rep);
-      Result<telemetry::RunTrace> run =
-          SimulateFaultRun(config.workload, truth, seed);
-      if (!run.ok()) {
-        test.error = run.status();
-        continue;
-      }
-      Result<DiagnosisReport> report =
-          pipeline.Diagnose(context, run.value(), config.victim_node);
-      if (!report.ok()) {
-        test.error = report.status();
-        continue;
-      }
-      test.report = std::move(report.value());
-      test.completed = true;
-    }
-  };
-  std::vector<std::thread> workers;
-  for (size_t w = 0; w + 1 < num_workers; ++w) workers.emplace_back(worker);
-  worker();
-  for (std::thread& thread : workers) thread.join();
+  INVARNETX_RETURN_IF_ERROR(ParallelFor(
+      cases.size(), config.pipeline.num_threads, [&](size_t i) -> Status {
+        TestCase& test = cases[i];
+        const uint64_t seed = config.seed + kTestStream +
+                              static_cast<uint64_t>(test.fault_index) * 1000 +
+                              static_cast<uint64_t>(test.rep);
+        Result<telemetry::RunTrace> run = SimulateFaultRun(
+            config.workload, fault_list[test.fault_index], seed);
+        if (!run.ok()) return run.status();
+        Result<DiagnosisReport> report =
+            pipeline.Diagnose(context, run.value(), config.victim_node);
+        if (!report.ok()) return report.status();
+        test.report = std::move(report.value());
+        return Status::Ok();
+      }));
 
   for (const TestCase& test : cases) {
-    if (!test.completed) return test.error;
     const faults::FaultType truth = fault_list[test.fault_index];
     const std::string truth_name = faults::FaultName(truth);
     const DiagnosisReport& report = test.report;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 
 #include "common/parallel.h"
 #include "core/assoc_cache.h"
@@ -39,6 +40,36 @@ Status ValidateNode(const telemetry::NodeTrace& node, const char* what) {
       }
     }
   }
+  return Status::Ok();
+}
+
+// A config.xml parser for an enum attribute: the choice whose name is the
+// attribute's text.
+template <typename E>
+auto NamedChoice(std::initializer_list<E> choices, std::string (*name)(E)) {
+  return [choices = std::vector<E>(choices),
+          name](const std::string& text) -> Result<E> {
+    for (E choice : choices) {
+      if (name(choice) == text) return choice;
+    }
+    return Status::Corruption("unknown name: " + text);
+  };
+}
+
+// Reads one config.xml attribute through `parse`. An absent attribute keeps
+// the pipeline's own value; one that does not parse is Corruption naming
+// the attribute.
+template <typename T, typename Parse>
+Status ReadConfigAttr(const xmlstore::XmlNode& node, const char* attr,
+                      const Parse& parse, T* out) {
+  const std::string text = node.Attr(attr);
+  if (text.empty()) return Status::Ok();
+  Result<T> value = parse(text);
+  if (!value.ok()) {
+    return Status::Corruption(std::string("config.xml attribute ") + attr +
+                              ": " + value.status().message());
+  }
+  *out = value.value();
   return Status::Ok();
 }
 
@@ -533,41 +564,40 @@ Status InvarNetX::LoadFromDirectory(const std::string& directory) {
     if (node.name != "invarnetx_config") {
       return Status::Corruption("expected <invarnetx_config> root");
     }
-    for (AssociationEngineType engine :
-         {AssociationEngineType::kMic, AssociationEngineType::kArx,
-          AssociationEngineType::kEnsemble}) {
-      if (AssociationEngineName(engine) == node.Attr("engine")) {
-        config_.engine = engine;
-      }
-    }
-    for (ThresholdRule rule :
-         {ThresholdRule::kMaxMin, ThresholdRule::k95Percentile,
-          ThresholdRule::kBetaMax}) {
-      if (ThresholdRuleName(rule) == node.Attr("rule")) {
-        config_.threshold_rule = rule;
-      }
-    }
-    for (SimilarityMetric metric :
-         {SimilarityMetric::kJaccard, SimilarityMetric::kDice,
-          SimilarityMetric::kCosine, SimilarityMetric::kHamming,
-          SimilarityMetric::kIdfJaccard}) {
-      if (SimilarityMetricName(metric) == node.Attr("similarity")) {
-        config_.similarity = metric;
-      }
-    }
-    if (!node.Attr("tau").empty()) config_.tau = std::stod(node.Attr("tau"));
-    if (!node.Attr("epsilon").empty()) {
-      config_.epsilon = std::stod(node.Attr("epsilon"));
-    }
-    if (!node.Attr("beta").empty()) {
-      config_.beta = std::stod(node.Attr("beta"));
-    }
-    if (!node.Attr("consecutive").empty()) {
-      config_.consecutive_required = std::stoi(node.Attr("consecutive"));
-    }
-    if (!node.Attr("min_similarity").empty()) {
-      config_.min_similarity = std::stod(node.Attr("min_similarity"));
-    }
+    INVARNETX_RETURN_IF_ERROR(ReadConfigAttr(
+        node, "engine",
+        NamedChoice<AssociationEngineType>(
+            {AssociationEngineType::kMic, AssociationEngineType::kArx,
+             AssociationEngineType::kEnsemble},
+            AssociationEngineName),
+        &config_.engine));
+    INVARNETX_RETURN_IF_ERROR(ReadConfigAttr(
+        node, "rule",
+        NamedChoice<ThresholdRule>(
+            {ThresholdRule::kMaxMin, ThresholdRule::k95Percentile,
+             ThresholdRule::kBetaMax},
+            ThresholdRuleName),
+        &config_.threshold_rule));
+    INVARNETX_RETURN_IF_ERROR(ReadConfigAttr(
+        node, "similarity",
+        NamedChoice<SimilarityMetric>(
+            {SimilarityMetric::kJaccard, SimilarityMetric::kDice,
+             SimilarityMetric::kCosine, SimilarityMetric::kHamming,
+             SimilarityMetric::kIdfJaccard},
+            SimilarityMetricName),
+        &config_.similarity));
+    INVARNETX_RETURN_IF_ERROR(
+        ReadConfigAttr(node, "tau", xmlstore::StrToDouble, &config_.tau));
+    INVARNETX_RETURN_IF_ERROR(ReadConfigAttr(
+        node, "epsilon", xmlstore::StrToDouble, &config_.epsilon));
+    INVARNETX_RETURN_IF_ERROR(
+        ReadConfigAttr(node, "beta", xmlstore::StrToDouble, &config_.beta));
+    INVARNETX_RETURN_IF_ERROR(ReadConfigAttr(node, "consecutive",
+                                             xmlstore::StrToInt,
+                                             &config_.consecutive_required));
+    INVARNETX_RETURN_IF_ERROR(ReadConfigAttr(
+        node, "min_similarity", xmlstore::StrToDouble,
+        &config_.min_similarity));
     if (!node.Attr("use_operation_context").empty()) {
       config_.use_operation_context =
           node.Attr("use_operation_context") == "1";

@@ -327,26 +327,19 @@ std::vector<double> OptimizeXAxis(const std::vector<int>& boundaries,
 namespace {
 
 Status ValidateInputs(const std::vector<double>& x,
-                      const std::vector<double>& y,
-                      const MicOptions& options) {
+                      const std::vector<double>& y) {
   if (x.size() != y.size()) {
     return Status::InvalidArgument("Mic: series length mismatch");
   }
   if (x.size() < 4) {
     return Status::InvalidArgument("Mic: need at least 4 points");
   }
-  if (options.alpha <= 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("Mic: alpha must be in (0, 1]");
-  }
-  if (options.clump_factor < 1) {
-    return Status::InvalidArgument("Mic: clump_factor must be >= 1");
-  }
   return Status::Ok();
 }
 
-int GridBound(size_t n, double alpha) {
+int GridBound(size_t n) {
   return std::max(
-      static_cast<int>(std::pow(static_cast<double>(n), alpha)), 4);
+      static_cast<int>(std::pow(static_cast<double>(n), kAlpha)), 4);
 }
 
 // Accumulates characteristic-matrix entries for one axis orientation into
@@ -360,7 +353,7 @@ void ScanOrientation(const std::vector<double>& axis_x,
                      const std::vector<double>& axis_y,
                      const std::vector<int>& order_x,
                      const std::vector<int>& order_y, int grid_bound,
-                     int clump_factor, bool swapped, MicWorkspace* ws) {
+                     bool swapped, MicWorkspace* ws) {
   const double n = static_cast<double>(axis_x.size());
   const int dim = ws->char_dim;
   for (int ny = 2; ny * 2 <= grid_bound; ++ny) {
@@ -372,7 +365,7 @@ void ScanOrientation(const std::vector<double>& axis_x,
         internal::RowEntropy(ws->q.row_of_point, ws->q.num_rows,
                              &ws->row_counts);
     internal::BuildClumps(axis_x, order_x, ws->q.row_of_point, &ws->clumps);
-    internal::BuildSuperclumps(ws->clumps.boundaries, clump_factor * max_nx,
+    internal::BuildSuperclumps(ws->clumps.boundaries, kClumpFactor * max_nx,
                                &ws->superclumps);
     internal::OptimizeXAxis(ws->superclumps, ws->clumps.row_in_x_order,
                             ws->q.num_rows, max_nx, ws, &ws->best);
@@ -438,10 +431,9 @@ MicResult Summarize(const double* matrix, int dim) {
 }  // namespace
 
 Result<MicResult> Mic(const std::vector<double>& x,
-                      const std::vector<double>& y, const MicOptions& options,
-                      MicWorkspace* workspace) {
-  INVARNETX_RETURN_IF_ERROR(ValidateInputs(x, y, options));
-  const int grid_bound = GridBound(x.size(), options.alpha);
+                      const std::vector<double>& y, MicWorkspace* workspace) {
+  INVARNETX_RETURN_IF_ERROR(ValidateInputs(x, y));
+  const int grid_bound = GridBound(x.size());
   // Both grid dimensions are >= 2, so neither exceeds grid_bound / 2.
   const int dim = grid_bound / 2 + 1;
   workspace->char_dim = dim;
@@ -451,32 +443,30 @@ Result<MicResult> Mic(const std::vector<double>& x,
   internal::StableOrder(x, &workspace->order_x);
   internal::StableOrder(y, &workspace->order_y);
   ScanOrientation(x, y, workspace->order_x, workspace->order_y, grid_bound,
-                  options.clump_factor, /*swapped=*/false, workspace);
+                  /*swapped=*/false, workspace);
   ScanOrientation(y, x, workspace->order_y, workspace->order_x, grid_bound,
-                  options.clump_factor, /*swapped=*/true, workspace);
+                  /*swapped=*/true, workspace);
   return Summarize(workspace->char_matrix.data(), dim);
 }
 
 Result<MicResult> Mic(const std::vector<double>& x,
-                      const std::vector<double>& y,
-                      const MicOptions& options) {
+                      const std::vector<double>& y) {
   MicWorkspace workspace;
-  return Mic(x, y, options, &workspace);
+  return Mic(x, y, &workspace);
 }
 
 Result<double> MicScore(const std::vector<double>& x,
                         const std::vector<double>& y,
-                        const MicOptions& options, MicWorkspace* workspace) {
-  Result<MicResult> r = Mic(x, y, options, workspace);
+                        MicWorkspace* workspace) {
+  Result<MicResult> r = Mic(x, y, workspace);
   if (!r.ok()) return r.status();
   return r.value().mic;
 }
 
 Result<double> MicScore(const std::vector<double>& x,
-                        const std::vector<double>& y,
-                        const MicOptions& options) {
+                        const std::vector<double>& y) {
   MicWorkspace workspace;
-  return MicScore(x, y, options, &workspace);
+  return MicScore(x, y, &workspace);
 }
 
 // ----------------------------------------------- reference implementation --
@@ -554,7 +544,7 @@ std::vector<double> ReferenceOptimizeXAxis(
 
 void ReferenceScanOrientation(const std::vector<double>& axis_x,
                               const std::vector<double>& axis_y,
-                              int grid_bound, int clump_factor, bool swapped,
+                              int grid_bound, bool swapped,
                               CharMap* matrix) {
   const double n = static_cast<double>(axis_x.size());
   for (int ny = 2; ny * 2 <= grid_bound; ++ny) {
@@ -566,7 +556,7 @@ void ReferenceScanOrientation(const std::vector<double>& axis_x,
     internal::ClumpPartition clumps =
         internal::BuildClumps(axis_x, q.row_of_point);
     const std::vector<int> super = internal::BuildSuperclumps(
-        clumps.boundaries, clump_factor * max_nx);
+        clumps.boundaries, kClumpFactor * max_nx);
     const std::vector<double> best = ReferenceOptimizeXAxis(
         super, clumps.row_in_x_order, q.num_rows, max_nx);
     for (int nx = 2; nx <= max_nx; ++nx) {
@@ -617,15 +607,12 @@ MicResult ReferenceSummarize(const CharMap& matrix) {
 }  // namespace
 
 Result<MicResult> MicReference(const std::vector<double>& x,
-                               const std::vector<double>& y,
-                               const MicOptions& options) {
-  INVARNETX_RETURN_IF_ERROR(ValidateInputs(x, y, options));
-  const int grid_bound = GridBound(x.size(), options.alpha);
+                               const std::vector<double>& y) {
+  INVARNETX_RETURN_IF_ERROR(ValidateInputs(x, y));
+  const int grid_bound = GridBound(x.size());
   CharMap matrix;
-  ReferenceScanOrientation(x, y, grid_bound, options.clump_factor,
-                           /*swapped=*/false, &matrix);
-  ReferenceScanOrientation(y, x, grid_bound, options.clump_factor,
-                           /*swapped=*/true, &matrix);
+  ReferenceScanOrientation(x, y, grid_bound, /*swapped=*/false, &matrix);
+  ReferenceScanOrientation(y, x, grid_bound, /*swapped=*/true, &matrix);
   return ReferenceSummarize(matrix);
 }
 

@@ -7,15 +7,14 @@
 
 namespace invarnetx::mic {
 
-// Options for the MINE approximation of the Maximal Information Coefficient
-// (Reshef et al., "Detecting novel associations in large data sets",
-// Science 2011). B(n) = max(floor(n^alpha), 4) bounds the grid resolution
-// (x * y <= B); `clump_factor` (c in the paper) caps the candidate column
-// edges at c * x superclumps.
-struct MicOptions {
-  double alpha = 0.6;
-  int clump_factor = 15;
-};
+// Parameters of the MINE approximation of the Maximal Information
+// Coefficient (Reshef et al., "Detecting novel associations in large data
+// sets", Science 2011), fixed at the paper's values. B(n) =
+// max(floor(n^kAlpha), 4) bounds the grid resolution (x * y <= B);
+// kClumpFactor (c in the paper) caps the candidate column edges at c * x
+// superclumps.
+inline constexpr double kAlpha = 0.6;
+inline constexpr int kClumpFactor = 15;
 
 // Result of a MIC computation: the score, the grid that achieved it, and
 // the companion MINE statistics derived from the characteristic matrix
@@ -122,21 +121,18 @@ struct MicWorkspace {
 // the call allocation-free. Results are bit-identical for any workspace
 // state (cold, warm, or warmed by different inputs) and to MicReference().
 Result<MicResult> Mic(const std::vector<double>& x,
-                      const std::vector<double>& y, const MicOptions& options,
-                      MicWorkspace* workspace);
+                      const std::vector<double>& y, MicWorkspace* workspace);
 
 // Convenience overload with a private, call-local workspace.
 Result<MicResult> Mic(const std::vector<double>& x,
-                      const std::vector<double>& y,
-                      const MicOptions& options = MicOptions());
+                      const std::vector<double>& y);
 
 // Convenience wrappers returning only the score.
 Result<double> MicScore(const std::vector<double>& x,
                         const std::vector<double>& y,
-                        const MicOptions& options, MicWorkspace* workspace);
+                        MicWorkspace* workspace);
 Result<double> MicScore(const std::vector<double>& x,
-                        const std::vector<double>& y,
-                        const MicOptions& options = MicOptions());
+                        const std::vector<double>& y);
 
 // Reference implementation: the original allocating kernel (per-call sorts,
 // map-backed characteristic matrix, vector-of-vector DP tables). Kept as
@@ -144,8 +140,7 @@ Result<double> MicScore(const std::vector<double>& x,
 // bit-identical MicResults - and as readable documentation of the
 // algorithm. Not for production use: several times slower than Mic().
 Result<MicResult> MicReference(const std::vector<double>& x,
-                               const std::vector<double>& y,
-                               const MicOptions& options = MicOptions());
+                               const std::vector<double>& y);
 
 namespace internal {
 

@@ -331,11 +331,16 @@ Status ReadFrameInto(int fd, size_t max_payload, Frame* frame) {
   return Status::Ok();
 }
 
-Status WriteFrame(int fd, const std::string& encoded) {
-  if (!WriteAll(fd, encoded)) {
-    return Status::IoError("short write on frame");
+std::vector<std::string> Tokenize(const std::string& line) {
+  std::vector<std::string> tokens;
+  size_t start = 0;
+  while (start <= line.size()) {
+    size_t end = line.find(' ', start);
+    if (end == std::string::npos) end = line.size();
+    if (end > start) tokens.emplace_back(line, start, end - start);
+    start = end + 1;
   }
-  return Status::Ok();
+  return tokens;
 }
 
 std::string FormatSampleLine(const serve::TickSample& sample) {

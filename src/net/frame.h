@@ -117,10 +117,12 @@ Result<Frame> ReadFrame(int fd, size_t max_payload);
 // Frame stops allocating once it has held a frame this large. On error the
 // frame's contents are unspecified. ReadFrame wraps it.
 Status ReadFrameInto(int fd, size_t max_payload, Frame* frame);
-// Writes one already-encoded frame (or any buffer) to the socket.
-Status WriteFrame(int fd, const std::string& encoded);
 
 // --- Text dialect helpers (shared by server, client, and tests). ---
+
+// Splits a command or reply line on single spaces; runs of spaces yield no
+// empty tokens.
+std::vector<std::string> Tokenize(const std::string& line);
 
 // "H CPI M0 .. M25" with %.17g doubles; the TICK body line for one sample.
 std::string FormatSampleLine(const serve::TickSample& sample);

@@ -16,19 +16,6 @@
 namespace invarnetx::net {
 namespace {
 
-// Splits a text reply line on single spaces.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t start = 0;
-  while (start <= line.size()) {
-    size_t end = line.find(' ', start);
-    if (end == std::string::npos) end = line.size();
-    if (end > start) tokens.emplace_back(line, start, end - start);
-    start = end + 1;
-  }
-  return tokens;
-}
-
 Result<long> ParseLong(const std::string& token) {
   char* end = nullptr;
   const long value = std::strtol(token.c_str(), &end, 10);

@@ -14,19 +14,6 @@
 namespace invarnetx::net {
 namespace {
 
-// Splits a text-dialect command line on single spaces.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t start = 0;
-  while (start <= line.size()) {
-    size_t end = line.find(' ', start);
-    if (end == std::string::npos) end = line.size();
-    if (end > start) tokens.emplace_back(line, start, end - start);
-    start = end + 1;
-  }
-  return tokens;
-}
-
 // Parses "workload@ip" (OperationContext::ToString spelling).
 Result<HelloEntry> ParseContextToken(const std::string& token) {
   const size_t at = token.find('@');

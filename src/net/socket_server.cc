@@ -12,8 +12,6 @@
 
 namespace invarnetx::net {
 
-SocketServer::SocketServer(Options options) : options_(std::move(options)) {}
-
 SocketServer::~SocketServer() { Stop(); }
 
 void SocketServer::SetHandler(ConnectionHandler handler) {

@@ -49,7 +49,6 @@ class SocketServer {
   using ConnectionHandler = std::function<void(int fd)>;
 
   SocketServer() = default;
-  explicit SocketServer(Options options);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -58,8 +57,7 @@ class SocketServer {
   // Sets the per-connection handler. Must be called before Start().
   void SetHandler(ConnectionHandler handler);
 
-  // Replaces the options. Must be called before Start() (embedders that
-  // default-construct the server as a member configure it here).
+  // Replaces the options. Must be called before Start().
   void SetOptions(Options options);
 
   // Binds, listens, and spawns the acceptor + workers. Fails (with the

@@ -56,7 +56,7 @@ bool LineReader::ReadLine(std::string* line) {
       buffer_.erase(0, newline + 1);
       return true;
     }
-    if (buffer_.size() > max_line_bytes_) return false;
+    if (buffer_.size() > kMaxLineBytes) return false;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;

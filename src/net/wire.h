@@ -24,11 +24,10 @@ size_t ReadAtLeast(int fd, void* data, size_t min_len, size_t max_len);
 
 // Buffered newline-delimited reader for the text dialects (ingest text
 // protocol, protocol sniffing). Strips the trailing "\n" (and "\r" before
-// it); a line longer than max_line_bytes is an error, not a partial line.
+// it); a line longer than 1 MiB is an error, not a partial line.
 class LineReader {
  public:
-  explicit LineReader(int fd, size_t max_line_bytes = 1 << 20)
-      : fd_(fd), max_line_bytes_(max_line_bytes) {}
+  explicit LineReader(int fd) : fd_(fd) {}
 
   // Hands bytes already read off the socket (protocol sniffing) back to the
   // reader; they are consumed before any further recv.
@@ -38,8 +37,9 @@ class LineReader {
   bool ReadLine(std::string* line);
 
  private:
+  static constexpr size_t kMaxLineBytes = 1 << 20;
+
   int fd_;
-  size_t max_line_bytes_;
   std::string buffer_;
 };
 

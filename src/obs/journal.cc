@@ -6,31 +6,6 @@
 #include "obs/metrics.h"
 
 namespace invarnetx::obs {
-namespace {
-
-void AppendQuoted(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string EventKindName(EventKind kind) {
   switch (kind) {
     case EventKind::kAlarm: return "alarm";
@@ -125,13 +100,13 @@ std::string RenderEventsText(const std::vector<Event>& events) {
     out += " seq=" + std::to_string(e.seq);
     out += " kind=" + EventKindName(e.kind);
     out += " msg=";
-    AppendQuoted(e.message, &out);
+    AppendJsonString(e.message, &out);
     for (const LogField& f : e.fields) {
       out.push_back(' ');
       out += f.key;
       out.push_back('=');
       if (f.quoted) {
-        AppendQuoted(f.value, &out);
+        AppendJsonString(f.value, &out);
       } else {
         out += f.value;
       }
@@ -150,18 +125,18 @@ std::string RenderEventsJson(const std::vector<Event>& events) {
     out += "\n  {\"seq\": " + std::to_string(e.seq);
     out += ", \"uptime_us\": " + std::to_string(e.uptime_us);
     out += ", \"kind\": ";
-    AppendQuoted(EventKindName(e.kind), &out);
+    AppendJsonString(EventKindName(e.kind), &out);
     out += ", \"msg\": ";
-    AppendQuoted(e.message, &out);
+    AppendJsonString(e.message, &out);
     out += ", \"fields\": {";
     bool first_field = true;
     for (const LogField& f : e.fields) {
       if (!first_field) out += ", ";
       first_field = false;
-      AppendQuoted(f.key, &out);
+      AppendJsonString(f.key, &out);
       out += ": ";
       if (f.quoted) {
-        AppendQuoted(f.value, &out);
+        AppendJsonString(f.value, &out);
       } else {
         // Bare numeric/boolean tokens are already valid JSON scalars.
         out += f.value;

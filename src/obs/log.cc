@@ -24,24 +24,41 @@ LogSink& SinkSlot() {
 // Values render bare when they are already safe tokens; everything that
 // came in as a string is quoted so parsers never guess.
 void AppendValue(const LogField& field, std::string* out) {
-  if (!field.quoted) {
+  if (field.quoted) {
+    AppendJsonString(field.value, out);
+  } else {
     *out += field.value;
-    return;
   }
+}
+
+}  // namespace
+
+void AppendJsonString(std::string_view s, std::string* out) {
   out->push_back('"');
-  for (char c : field.value) {
+  for (char c : s) {
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
       case '\n': *out += "\\n"; break;
       case '\t': *out += "\\t"; break;
-      default: out->push_back(c);
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
     }
   }
   out->push_back('"');
 }
 
-}  // namespace
+std::string JsonString(std::string_view s) {
+  std::string out;
+  AppendJsonString(s, &out);
+  return out;
+}
 
 LogField::LogField(std::string k, double v) : key(std::move(k)) {
   char buf[64];

@@ -79,6 +79,13 @@ void SetLogSink(LogSink sink);
 // timestamps and trace-span times, so both line up in one timeline.
 uint64_t UptimeMicros();
 
+// Appends `s` as a quoted JSON string: `"` and `\` are escaped, newline and
+// tab become \n and \t, and every other control character becomes \u00XX
+// (RFC 8259 allows none of them raw). The one quoter behind log lines, the
+// event journal, the metrics and trace exports and the campaign scoreboard.
+void AppendJsonString(std::string_view s, std::string* out);
+std::string JsonString(std::string_view s);
+
 }  // namespace invarnetx::obs
 
 // Evaluates the message/fields only when the level is enabled.

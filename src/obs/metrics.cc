@@ -8,6 +8,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/log.h"
+
 namespace invarnetx::obs {
 namespace {
 
@@ -15,30 +17,6 @@ std::string DoubleToStr(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
-}
-
-// JSON string escaping for metric names (which are code-controlled, but a
-// malformed export must never be possible).
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 size_t BucketIndex(double value) {
@@ -169,14 +147,11 @@ template <typename T>
 MetricsRegistry::Entry<T>& MetricsRegistry::GetEntry(
     std::map<std::string, Entry<T>>* entries, const std::string& name,
     const MetricLabels& labels) {
-  MetricLabels sorted = SortedLabels(labels);
-  std::string key = name;
-  if (!sorted.empty()) key += RenderLabels(sorted);
-  Entry<T>& entry = (*entries)[key];
+  Entry<T>& entry = (*entries)[SeriesKey(name, labels)];
   if (!entry.metric) {
     entry.metric = std::make_unique<T>();
     entry.family = name;
-    entry.labels = std::move(sorted);
+    entry.labels = SortedLabels(labels);
   }
   return entry;
 }
@@ -214,12 +189,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
 bool MetricsRegistry::HasGauge(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   return gauges_.count(name) > 0;
-}
-
-void MetricsRegistry::SetHelp(const std::string& name,
-                              const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  help_[name] = help;
 }
 
 MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
@@ -335,7 +304,6 @@ std::string MetricsRegistry::RenderOpenMetrics() {
   std::map<std::string, std::vector<CounterSeries>> counter_families;
   std::map<std::string, std::vector<GaugeSeries>> gauge_families;
   std::map<std::string, std::vector<HistSeries>> hist_families;
-  std::map<std::string, std::string> help;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, entry] : counters_) {
@@ -350,32 +318,15 @@ std::string MetricsRegistry::RenderOpenMetrics() {
       hist_families[entry.family].push_back(
           {RenderLabels(entry.labels), entry.metric.get()});
     }
-    help = help_;
   }
 
   std::ostringstream out;
-  auto help_line = [&](const std::string& family, const std::string& name) {
-    auto it = help.find(family);
-    if (it == help.end() || it->second.empty()) return;
-    std::string text;
-    for (char c : it->second) {
-      if (c == '\n') {
-        text += "\\n";
-      } else if (c == '\\') {
-        text += "\\\\";
-      } else {
-        text.push_back(c);
-      }
-    }
-    out << "# HELP " << name << " " << text << "\n";
-  };
 
   for (const auto& [family, series] : counter_families) {
     std::string name = OpenMetricsName(family);
     if (name.size() < 6 || name.compare(name.size() - 6, 6, "_total") != 0) {
       name += "_total";
     }
-    help_line(family, name);
     out << "# TYPE " << name << " counter\n";
     for (const CounterSeries& s : series) {
       out << name << s.labels << " " << s.metric->value() << "\n";
@@ -383,7 +334,6 @@ std::string MetricsRegistry::RenderOpenMetrics() {
   }
   for (const auto& [family, series] : gauge_families) {
     const std::string name = OpenMetricsName(family);
-    help_line(family, name);
     out << "# TYPE " << name << " gauge\n";
     for (const GaugeSeries& s : series) {
       out << name << s.labels << " " << DoubleToStr(s.metric->value())
@@ -392,7 +342,6 @@ std::string MetricsRegistry::RenderOpenMetrics() {
   }
   for (const auto& [family, series] : hist_families) {
     const std::string name = OpenMetricsName(family);
-    help_line(family, name);
     out << "# TYPE " << name << " histogram\n";
     for (const HistSeries& s : series) {
       // Labels on a histogram series merge with the `le` bucket label:

@@ -119,10 +119,6 @@ class MetricsRegistry {
 
   bool HasGauge(const std::string& name) const;
 
-  // Optional `# HELP` text for the OpenMetrics exposition, keyed by family
-  // name (the unlabeled metric name). Idempotent; later calls win.
-  void SetHelp(const std::string& name, const std::string& help);
-
   // Point-in-time copy for programmatic consumers (CLI stats, reports,
   // tests). Labeled series appear under their display key
   // `name{key="value",...}` with label keys sorted.
@@ -145,8 +141,8 @@ class MetricsRegistry {
   std::string RenderText() const;
   std::string RenderJson() const;
 
-  // Prometheus/OpenMetrics text exposition: `# HELP`/`# TYPE` lines per
-  // family, one sample line per series (counters gain the `_total` suffix,
+  // Prometheus/OpenMetrics text exposition: a `# TYPE` line per family,
+  // one sample line per series (counters gain the `_total` suffix,
   // histograms expand to cumulative `_bucket{le=...}` + `_sum` + `_count`),
   // terminated by `# EOF`. Dots in names become underscores. Every call
   // increments this registry's `obs.export_total` counter. The exported
@@ -183,7 +179,6 @@ class MetricsRegistry {
   std::map<std::string, Entry<Counter>> counters_;
   std::map<std::string, Entry<Gauge>> gauges_;
   std::map<std::string, Entry<Histogram>> histograms_;
-  std::map<std::string, std::string> help_;
 };
 
 // Strict validation of a Prometheus/OpenMetrics text exposition as produced

@@ -12,28 +12,6 @@
 namespace invarnetx::obs {
 namespace {
 
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 // ------------------------------------------------------------------------
 // Minimal recursive-descent JSON parser used only for validation: the
 // golden-file tests and the CI smoke check must be able to parse traces
@@ -120,6 +98,10 @@ class JsonValidator {
       if (c == '"') {
         ++pos_;
         return Status::Ok();
+      }
+      // RFC 8259: control characters inside a string must be escaped.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("raw control character in string");
       }
       if (c == '\\') {
         ++pos_;
@@ -305,21 +287,18 @@ int CurrentThreadTid() {
   return tid;
 }
 
-SlowSpanSampler::SlowSpanSampler(size_t per_stage)
-    : per_stage_(per_stage == 0 ? 1 : per_stage) {}
-
 void SlowSpanSampler::Offer(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   ++offered_;
   std::vector<TraceEvent>& kept = by_stage_[event.name];
-  if (kept.size() >= per_stage_ && event.dur_us <= kept.back().dur_us) {
+  if (kept.size() >= kPerStage && event.dur_us <= kept.back().dur_us) {
     return;
   }
   // Sorted insert by descending duration; the vector is at most
-  // per_stage_ long, so a linear scan is the whole cost.
+  // kPerStage long, so a linear scan is the whole cost.
   auto it = kept.begin();
   while (it != kept.end() && it->dur_us >= event.dur_us) ++it;
-  if (kept.size() < per_stage_) {
+  if (kept.size() < kPerStage) {
     kept.insert(it, event);
     return;
   }
@@ -352,7 +331,7 @@ void SlowSpanSampler::Clear() {
 std::string SlowSpanSampler::RenderText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "tracez: slowest spans per stage (keeping " +
-                    std::to_string(per_stage_) + ", offered " +
+                    std::to_string(kPerStage) + ", offered " +
                     std::to_string(offered_) + ")\n";
   for (const auto& [stage, kept] : by_stage_) {
     out += "\nstage " + stage + "\n";

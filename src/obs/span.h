@@ -72,14 +72,14 @@ int CurrentThreadTid();
 // pays); stage cardinality is bounded by the code's span names.
 class SlowSpanSampler {
  public:
-  static constexpr size_t kDefaultPerStage = 8;
+  static constexpr size_t kPerStage = 8;
 
-  explicit SlowSpanSampler(size_t per_stage = kDefaultPerStage);
+  SlowSpanSampler() = default;
   SlowSpanSampler(const SlowSpanSampler&) = delete;
   SlowSpanSampler& operator=(const SlowSpanSampler&) = delete;
 
   // Considers one completed span; kept only if the stage has fewer than
-  // per_stage samples or the span outlasts the stage's current fastest.
+  // kPerStage samples or the span outlasts the stage's current fastest.
   void Offer(const TraceEvent& event);
 
   // All retained spans, grouped by stage name (sorted), slowest first
@@ -88,7 +88,6 @@ class SlowSpanSampler {
 
   // Total spans offered (kept or not) since the last Clear.
   uint64_t offered() const;
-  size_t per_stage() const { return per_stage_; }
   void Clear();
 
   // Plain-text table for the /tracez endpoint.
@@ -97,9 +96,8 @@ class SlowSpanSampler {
   static SlowSpanSampler& Shared();
 
  private:
-  const size_t per_stage_;
   mutable std::mutex mu_;
-  // Per stage, sorted by descending duration; bounded at per_stage_.
+  // Per stage, sorted by descending duration; bounded at kPerStage.
   std::map<std::string, std::vector<TraceEvent>> by_stage_;
   uint64_t offered_ = 0;
 };

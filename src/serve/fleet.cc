@@ -63,11 +63,6 @@ struct TickDrains {
 MonitorFleet::MonitorFleet(const core::InvarNetX* pipeline, FleetConfig config)
     : pipeline_(pipeline), config_(config) {
   if (config_.window_capacity == 0) config_.window_capacity = 1;
-  if (config_.storm_window_ticks == 0) config_.storm_window_ticks = 1;
-  if (config_.watchdog_window_ticks == 0) config_.watchdog_window_ticks = 1;
-  storm_window_.resize(config_.storm_window_ticks, 0);
-  tick_latencies_.resize(config_.watchdog_window_ticks, 0.0);
-  latency_scratch_.reserve(config_.watchdog_window_ticks);
   consecutive_required_ = pipeline_->config().consecutive_required;
   effective_threads_ = EffectiveThreadCount(config_.threads);
 
@@ -677,18 +672,15 @@ void MonitorFleet::RunWatchdogs(int new_alarms, double ingest_seconds) {
   // Slow-tick watchdog: p99 of recent batched-ingest latencies against the
   // configured budget, same trip/recover hysteresis.
   tick_latencies_[tick % tick_latencies_.size()] = ingest_seconds;
-  // The rank-th smallest latency, selected in a reused scratch buffer.
-  latency_scratch_.assign(
-      tick_latencies_.begin(),
-      tick_latencies_.begin() + static_cast<std::ptrdiff_t>(std::min<uint64_t>(
-                                    tick + 1, tick_latencies_.size())));
+  // The rank-th smallest latency, selected in a scratch copy of the window.
+  const size_t count = static_cast<size_t>(
+      std::min<uint64_t>(tick + 1, tick_latencies_.size()));
+  double* const window = latency_scratch_.data();
+  std::copy_n(tick_latencies_.data(), count, window);
   const size_t rank = std::min(
-      latency_scratch_.size() - 1,
-      static_cast<size_t>(0.99 * static_cast<double>(latency_scratch_.size())));
-  std::nth_element(latency_scratch_.begin(),
-                   latency_scratch_.begin() + static_cast<std::ptrdiff_t>(rank),
-                   latency_scratch_.end());
-  ingest_p99_seconds_ = latency_scratch_[rank];
+      count - 1, static_cast<size_t>(0.99 * static_cast<double>(count)));
+  std::nth_element(window, window + rank, window + count);
+  ingest_p99_seconds_ = window[rank];
   ingest_p99_gauge_->Set(ingest_p99_seconds_);
   if (config_.slow_tick_budget_seconds > 0.0) {
     if (!slow_ticks_active_ &&
@@ -733,18 +725,18 @@ void MonitorFleet::RefreshStatusCache() {
     status.shards.push_back(row);
   }
 
-  // Per-monitor rows are capped: a fleet of at most status_top_k monitors
-  // lists them all; otherwise at most status_top_k interesting rows (alarm
+  // Per-monitor rows are capped: a fleet of at most kStatusTopK monitors
+  // lists them all; otherwise at most kStatusTopK interesting rows (alarm
   // latched or window overflowed this job), walked off the ordered
   // interesting_ index in handle order.
-  if (slots_.size() <= config_.status_top_k) {
+  if (slots_.size() <= kStatusTopK) {
     status.monitors.reserve(slots_.size());
     for (size_t h = 0; h < slots_.size(); ++h) {
       status.monitors.push_back(StatusRow(static_cast<MonitorHandle>(h)));
     }
   } else {
     for (const MonitorHandle handle : interesting_) {
-      if (status.monitors.size() >= config_.status_top_k) break;
+      if (status.monitors.size() >= kStatusTopK) break;
       status.monitors.push_back(StatusRow(handle));
     }
   }

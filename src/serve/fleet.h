@@ -30,6 +30,16 @@ namespace invarnetx::serve {
 using MonitorHandle = int32_t;
 inline constexpr MonitorHandle kInvalidMonitor = -1;
 
+// /statusz snapshot cap: at most this many per-monitor rows, picked in
+// handle order from the interesting monitors (alarm latched or window
+// overflowed this job). Fleets with <= kStatusTopK monitors list
+// everything. The cap keeps the status refresh O(K) at fleet scale.
+inline constexpr size_t kStatusTopK = 32;
+// Sliding windows of the alarm-storm detector and the slow-tick watchdog,
+// in ingest ticks.
+inline constexpr size_t kStormWindowTicks = 16;
+inline constexpr size_t kWatchdogWindowTicks = 64;
+
 // Execution knobs of a MonitorFleet - runtime concerns only: fleet verdicts
 // and drained diagnoses are bit-identical for every `threads` and `shards`
 // value (as long as no ingest ring overflows; overflow itself is
@@ -67,22 +77,15 @@ struct FleetConfig {
 
   // --- Observability knobs (no effect on verdicts or diagnoses) ---
 
-  // /statusz snapshot cap: at most this many per-monitor rows, picked in
-  // handle order from the interesting monitors (alarm latched or window
-  // overflowed this job). Fleets with <= status_top_k monitors list
-  // everything. The cap keeps RefreshStatusCache O(K) at fleet scale.
-  size_t status_top_k = 32;
   // Alarm-storm detector: trips when new alarms across the last
-  // storm_window_ticks ingest ticks reach storm_alarm_threshold; clears
-  // (with hysteresis) when they fall to half the threshold. Both events are
+  // kStormWindowTicks ingest ticks reach this threshold; clears (with
+  // hysteresis) when they fall to half the threshold. Both events are
   // journaled. A zero threshold disables the detector.
-  size_t storm_window_ticks = 16;
   int storm_alarm_threshold = 8;
   // Slow-tick watchdog: journals when the p99 of the last
-  // watchdog_window_ticks ingest latencies exceeds the budget, and again
+  // kWatchdogWindowTicks ingest latencies exceeds the budget, and again
   // when it recovers. A non-positive budget disables the watchdog.
   double slow_tick_budget_seconds = 0.25;
-  size_t watchdog_window_ticks = 64;
   // Pre-sizes the per-shard state (SoA vectors + window slabs) and the
   // context index for this many monitors, so arming a large fleet never
   // re-copies a half-built slab. 0 = grow on demand.
@@ -145,7 +148,7 @@ struct FleetStatus {
   double ingest_p99_seconds = 0.0;    // over the watchdog window
   double slow_tick_budget_seconds = 0.0;
   std::vector<ShardStatus> shards;
-  // Capped at status_top_k interesting rows unless the fleet is that small;
+  // Capped at kStatusTopK interesting rows unless the fleet is that small;
   // monitors_listed_truncated says rows were left out.
   std::vector<MonitorStatus> monitors;
   bool monitors_listed_truncated = false;
@@ -357,7 +360,7 @@ class MonitorFleet {
   void DispatchDiagnosis(MonitorHandle handle);
   void PublishGauges();
   // Refreshes the cached /statusz snapshot; ingestion thread only. O(1)
-  // counters plus at most status_top_k formatted rows walked off the
+  // counters plus at most kStatusTopK formatted rows walked off the
   // interesting_ index.
   void RefreshStatusCache();
   // Feeds the alarm-storm detector and slow-tick watchdog with one tick's
@@ -389,7 +392,7 @@ class MonitorFleet {
 
   // Monitors with an alarm latched or a window overflowed this job, in
   // handle order: the rows /statusz may list. Maintained at alarm/overflow
-  // accounting and StartJob, so a refresh walks at most status_top_k
+  // accounting and StartJob, so a refresh walks at most kStatusTopK
   // entries instead of the fleet.
   std::set<MonitorHandle> interesting_;
 
@@ -424,13 +427,13 @@ class MonitorFleet {
   std::atomic<uint64_t> diagnoses_completed_{0};  // pool workers bump this
 
   // Alarm-storm detector + slow-tick watchdog state; ingestion thread only.
-  // Both windows are rings sized at construction and indexed by tick
-  // ordinal, so the detectors never allocate.
-  std::vector<int> storm_window_;        // new alarms per tick
+  // Both windows are fixed rings indexed by tick ordinal, so the detectors
+  // never allocate.
+  std::array<int, kStormWindowTicks> storm_window_{};  // new alarms per tick
   int storm_alarms_in_window_ = 0;
   bool storm_active_ = false;
-  std::vector<double> tick_latencies_;   // ingest seconds per tick
-  std::vector<double> latency_scratch_;  // p99 selection
+  std::array<double, kWatchdogWindowTicks> tick_latencies_{};  // ingest s
+  std::array<double, kWatchdogWindowTicks> latency_scratch_{};  // p99 pick
   bool slow_ticks_active_ = false;
   double ingest_p99_seconds_ = 0.0;
 

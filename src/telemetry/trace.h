@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "faults/fault.h"
 #include "telemetry/metrics.h"
 #include "workload/spec.h"
@@ -48,13 +47,6 @@ struct RunTrace {
   // For FIFO job-sequence traces: the per-job spans (empty for single-job
   // runs, where `workload` describes the whole trace).
   std::vector<JobSpanInfo> job_spans;
-
-  // Mean CPI across the slave nodes at each tick - the "job CPI" series
-  // used for run-level statistics like the Fig. 4 95th percentile.
-  std::vector<double> MeanSlaveCpi() const;
-
-  // The metric series of one node, bounds-checked.
-  Result<const std::vector<double>*> Series(size_t node, int metric) const;
 };
 
 }  // namespace invarnetx::telemetry

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 
-#include "common/matrix.h"
 #include "common/stats.h"
 
 namespace invarnetx::ts {
@@ -28,55 +27,6 @@ Result<std::vector<double>> Acf(const std::vector<double>& series,
     acf[static_cast<size_t>(lag)] = acc / denom;
   }
   return acf;
-}
-
-Result<std::vector<double>> Pacf(const std::vector<double>& series,
-                                 int max_lag) {
-  if (max_lag < 1) return Status::InvalidArgument("Pacf: max_lag < 1");
-  Result<std::vector<double>> acf = Acf(series, max_lag);
-  if (!acf.ok()) return acf.status();
-  const std::vector<double>& rho = acf.value();
-  // Durbin-Levinson: phi[k][j] coefficients for AR(k); pacf[k] = phi[k][k].
-  std::vector<double> pacf(static_cast<size_t>(max_lag), 0.0);
-  std::vector<double> phi_prev(static_cast<size_t>(max_lag) + 1, 0.0);
-  std::vector<double> phi_curr(static_cast<size_t>(max_lag) + 1, 0.0);
-  double v = 1.0;  // normalized innovation variance
-  for (int k = 1; k <= max_lag; ++k) {
-    double num = rho[static_cast<size_t>(k)];
-    for (int j = 1; j < k; ++j) {
-      num -= phi_prev[static_cast<size_t>(j)] *
-             rho[static_cast<size_t>(k - j)];
-    }
-    const double phi_kk = v > 1e-12 ? num / v : 0.0;
-    phi_curr[static_cast<size_t>(k)] = phi_kk;
-    for (int j = 1; j < k; ++j) {
-      phi_curr[static_cast<size_t>(j)] =
-          phi_prev[static_cast<size_t>(j)] -
-          phi_kk * phi_prev[static_cast<size_t>(k - j)];
-    }
-    v *= (1.0 - phi_kk * phi_kk);
-    pacf[static_cast<size_t>(k - 1)] = phi_kk;
-    phi_prev = phi_curr;
-  }
-  return pacf;
-}
-
-Result<std::vector<double>> YuleWalker(const std::vector<double>& series,
-                                       int p) {
-  if (p < 1) return Status::InvalidArgument("YuleWalker: p < 1");
-  Result<std::vector<double>> acf = Acf(series, p);
-  if (!acf.ok()) return acf.status();
-  const std::vector<double>& rho = acf.value();
-  Matrix r(static_cast<size_t>(p), static_cast<size_t>(p));
-  std::vector<double> rhs(static_cast<size_t>(p));
-  for (int i = 0; i < p; ++i) {
-    for (int j = 0; j < p; ++j) {
-      r(static_cast<size_t>(i), static_cast<size_t>(j)) =
-          rho[static_cast<size_t>(std::abs(i - j))];
-    }
-    rhs[static_cast<size_t>(i)] = rho[static_cast<size_t>(i + 1)];
-  }
-  return SolveLinearSystem(std::move(r), std::move(rhs));
 }
 
 }  // namespace invarnetx::ts

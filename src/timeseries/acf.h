@@ -12,16 +12,6 @@ namespace invarnetx::ts {
 Result<std::vector<double>> Acf(const std::vector<double>& series,
                                 int max_lag);
 
-// Partial autocorrelation function at lags 1..max_lag via Durbin-Levinson
-// recursion on the sample ACF.
-Result<std::vector<double>> Pacf(const std::vector<double>& series,
-                                 int max_lag);
-
-// Solves the Yule-Walker equations for AR(p) coefficients from the sample
-// ACF; returns p coefficients (phi_1..phi_p).
-Result<std::vector<double>> YuleWalker(const std::vector<double>& series,
-                                       int p);
-
 }  // namespace invarnetx::ts
 
 #endif  // INVARNETX_TIMESERIES_ACF_H_

@@ -31,6 +31,8 @@ std::string DoubleToStr(double v) {
   return buf;
 }
 
+}  // namespace
+
 Result<double> StrToDouble(const std::string& s) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
@@ -44,6 +46,8 @@ Result<int> StrToInt(const std::string& s) {
   if (end == s.c_str()) return Status::Corruption("bad int: " + s);
   return static_cast<int>(v);
 }
+
+namespace {
 
 std::string JoinDoubles(const std::vector<double>& v) {
   std::ostringstream out;

@@ -52,6 +52,11 @@ struct SignatureRecord {
   std::vector<uint8_t> bits;  // one per invariant, 1 = violated
 };
 
+// Numeric attribute parsers shared by every store file: Corruption when the
+// text does not start with a number.
+Result<double> StrToDouble(const std::string& s);
+Result<int> StrToInt(const std::string& s);
+
 Status SaveArimaModels(const std::string& path,
                        const std::vector<ArimaModelRecord>& records);
 Result<std::vector<ArimaModelRecord>> LoadArimaModels(const std::string& path);

@@ -15,6 +15,7 @@
 #include "campaign/scenario.h"
 #include "campaign/scoreboard.h"
 #include "faults/fault.h"
+#include "obs/span.h"
 #include "telemetry/metrics.h"
 #include "workload/spec.h"
 
@@ -332,6 +333,17 @@ TEST(ScoreboardTest, JsonCarriesRunsAndSummary) {
             std::string::npos);
   EXPECT_NE(json.find("\"mean_known_precision_at_1\": 0.500000"),
             std::string::npos);
+}
+
+// A scenario name is free text from a .scenario file: a control character
+// in it must leave the JSON scoreboard valid (escaped, never raw).
+TEST(ScoreboardTest, JsonEscapesControlCharactersInNames) {
+  CampaignResult result = SyntheticResult();
+  result.scores[0].name = "cpu\x01hog";
+  const std::string json = RenderJson(result);
+  const Status valid = obs::ValidateJson(json);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  EXPECT_NE(json.find("\"cpu\\u0001hog\""), std::string::npos) << json;
 }
 
 TEST(ScoreboardTest, ReportNamesFaultScheduleAndRankedCauses) {

@@ -35,24 +35,6 @@ TEST(ClusterTest, TestbedIsHeterogeneous) {
   EXPECT_TRUE(differs);
 }
 
-TEST(ClusterTest, UniformTestbedUsesGivenSpec) {
-  NodeSpec spec;
-  spec.cores = 16;
-  Cluster testbed = Cluster::MakeUniformTestbed(3, spec);
-  EXPECT_EQ(testbed.size(), 4u);
-  for (const SimNode& node : testbed.nodes()) {
-    EXPECT_EQ(node.spec.cores, 16);
-  }
-}
-
-TEST(ClusterTest, IndexOf) {
-  Cluster testbed = Cluster::MakeTestbed();
-  Result<size_t> found = testbed.IndexOf("10.0.0.3");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value(), 2u);
-  EXPECT_FALSE(testbed.IndexOf("10.9.9.9").ok());
-}
-
 TEST(SimNodeTest, InstructionRateAndDiskScale) {
   SimNode node;
   node.spec.cores = 8;

@@ -31,7 +31,6 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 
 TEST(StatusTest, FactoriesProduceDistinctCodes) {
   EXPECT_EQ(Status::NotFound("").code(), StatusCode::kNotFound);
-  EXPECT_EQ(Status::OutOfRange("").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::FailedPrecondition("").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::Internal("").code(), StatusCode::kInternal);
@@ -127,7 +126,8 @@ TEST(RngTest, ForkProducesIndependentStream) {
 // ---------------------------------------------------------------- Matrix --
 
 TEST(MatrixTest, IdentityMultiplication) {
-  Matrix id = Matrix::Identity(3);
+  Matrix id(3, 3);
+  for (size_t i = 0; i < 3; ++i) id(i, i) = 1.0;
   Matrix m(3, 3);
   int v = 1;
   for (size_t r = 0; r < 3; ++r)
@@ -226,7 +226,6 @@ TEST(StatsTest, MeanAndVariance) {
   std::vector<double> v = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(Mean(v), 3.0);
   EXPECT_DOUBLE_EQ(Variance(v), 2.0);
-  EXPECT_NEAR(SampleStdDev(v), std::sqrt(2.5), 1e-12);
 }
 
 TEST(StatsTest, EmptySeriesSafe) {
@@ -307,17 +306,6 @@ TEST(StatsTest, NormalizeToMin) {
   EXPECT_DOUBLE_EQ(n.value()[2], 3.0);
   EXPECT_FALSE(NormalizeToMin({0.0, 1.0}).ok());
   EXPECT_FALSE(NormalizeToMin({}).ok());
-}
-
-TEST(StatsTest, MinMaxScale) {
-  std::vector<double> s = MinMaxScale({10.0, 20.0, 30.0});
-  EXPECT_DOUBLE_EQ(s[0], 0.0);
-  EXPECT_DOUBLE_EQ(s[1], 0.5);
-  EXPECT_DOUBLE_EQ(s[2], 1.0);
-  // Constant series map to zeros.
-  std::vector<double> c = MinMaxScale({5.0, 5.0});
-  EXPECT_DOUBLE_EQ(c[0], 0.0);
-  EXPECT_DOUBLE_EQ(c[1], 0.0);
 }
 
 TEST(StatsTest, WilsonIntervalKnownValues) {

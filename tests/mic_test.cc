@@ -34,12 +34,6 @@ std::vector<double> Linspace(int n) {
 TEST(MicTest, RejectsBadInput) {
   EXPECT_FALSE(Mic({1, 2, 3}, {1, 2}).ok());
   EXPECT_FALSE(Mic({1, 2, 3}, {1, 2, 3}).ok());  // < 4 points
-  MicOptions bad_alpha;
-  bad_alpha.alpha = 0.0;
-  EXPECT_FALSE(Mic({1, 2, 3, 4}, {1, 2, 3, 4}, bad_alpha).ok());
-  MicOptions bad_clump;
-  bad_clump.clump_factor = 0;
-  EXPECT_FALSE(Mic({1, 2, 3, 4}, {1, 2, 3, 4}, bad_clump).ok());
 }
 
 TEST(MicTest, PerfectLinearRelationshipScoresOne) {
@@ -408,7 +402,7 @@ TEST(MicWorkspaceTest, BitIdenticalToReferenceAcrossRandomSeries) {
     for (int trial = 0; trial < 10; ++trial) {
       std::vector<double> x, y;
       MakeSeries(n, trial % 5, &rng, &x, &y);
-      const Result<MicResult> fast = Mic(x, y, MicOptions(), &workspace);
+      const Result<MicResult> fast = Mic(x, y, &workspace);
       const Result<MicResult> reference = MicReference(x, y);
       ASSERT_TRUE(fast.ok());
       ASSERT_TRUE(reference.ok());
@@ -428,10 +422,10 @@ TEST(MicWorkspaceTest, DirtyWorkspaceMatchesColdWorkspace) {
     yb.push_back(rng.Uniform());
   }
   MicWorkspace cold;
-  const MicResult first = Mic(xa, ya, MicOptions(), &cold).value();
+  const MicResult first = Mic(xa, ya, &cold).value();
   MicWorkspace dirty;
-  ASSERT_TRUE(Mic(xb, yb, MicOptions(), &dirty).ok());  // different shapes
-  const MicResult again = Mic(xa, ya, MicOptions(), &dirty).value();
+  ASSERT_TRUE(Mic(xb, yb, &dirty).ok());  // different shapes
+  const MicResult again = Mic(xa, ya, &dirty).value();
   ExpectExactlyEqual(again, first, "dirty workspace");
 }
 
@@ -447,22 +441,22 @@ TEST(MicWorkspaceTest, ZeroSteadyStateAllocations) {
     ys.push_back(rng.Gaussian(0, 1));
   }
   MicWorkspace workspace;
-  const Result<MicResult> warm = Mic(x, y, MicOptions(), &workspace);
+  const Result<MicResult> warm = Mic(x, y, &workspace);
   ASSERT_TRUE(warm.ok());
 
   // Warm buffers at the high-water mark: the same call must not touch the
   // heap at all.
   uint64_t before = HeapAllocations();
-  const Result<MicResult> repeat = Mic(x, y, MicOptions(), &workspace);
+  const Result<MicResult> repeat = Mic(x, y, &workspace);
   uint64_t after = HeapAllocations();
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(after - before, 0u) << "warm Mic() allocated";
   ExpectExactlyEqual(repeat.value(), warm.value(), "warm repeat");
 
   // A shorter series after a longer one fits in the grown buffers.
-  ASSERT_TRUE(Mic(xs, ys, MicOptions(), &workspace).ok());  // settle ties path
+  ASSERT_TRUE(Mic(xs, ys, &workspace).ok());  // settle ties path
   before = HeapAllocations();
-  const Result<MicResult> shorter = Mic(xs, ys, MicOptions(), &workspace);
+  const Result<MicResult> shorter = Mic(xs, ys, &workspace);
   after = HeapAllocations();
   ASSERT_TRUE(shorter.ok());
   EXPECT_EQ(after - before, 0u) << "shorter warm Mic() allocated";
@@ -501,7 +495,7 @@ TEST(MicSimdTest, EveryTierBitIdenticalToReference) {
       const Result<MicResult> reference = MicReference(x, y);
       ASSERT_TRUE(reference.ok());
       ForEachSimdLevel([&](SimdLevel level) {
-        const Result<MicResult> got = Mic(x, y, MicOptions(), &workspace);
+        const Result<MicResult> got = Mic(x, y, &workspace);
         ASSERT_TRUE(got.ok());
         ExpectExactlyEqual(got.value(), reference.value(),
                            std::string("n=") + std::to_string(n) + " shape " +
@@ -521,11 +515,11 @@ TEST(MicSimdTest, ZeroSteadyStateAllocationsOnEveryTier) {
     y.push_back(0.5 * x.back() + rng.Gaussian(0, 0.5));
   }
   MicWorkspace workspace;
-  ASSERT_TRUE(Mic(x, y, MicOptions(), &workspace).ok());  // warm buffers
+  ASSERT_TRUE(Mic(x, y, &workspace).ok());  // warm buffers
   ForEachSimdLevel([&](SimdLevel level) {
-    ASSERT_TRUE(Mic(x, y, MicOptions(), &workspace).ok());  // settle tier
+    ASSERT_TRUE(Mic(x, y, &workspace).ok());  // settle tier
     const uint64_t before = HeapAllocations();
-    const Result<MicResult> warm = Mic(x, y, MicOptions(), &workspace);
+    const Result<MicResult> warm = Mic(x, y, &workspace);
     const uint64_t after = HeapAllocations();
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(after - before, 0u)

@@ -1,7 +1,9 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,29 +88,28 @@ TEST(ParallelForTest, ManyMoreTasksThanWorkers) {
 }
 
 TEST(ThreadPoolTest, GrowsOnDemandAndRunsSubmittedTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2);
-  pool.EnsureSize(5);
-  EXPECT_EQ(pool.size(), 5);
-  pool.EnsureSize(3);  // never shrinks
-  EXPECT_EQ(pool.size(), 5);
+  ThreadPool& pool = ThreadPool::Shared();
+  const int start = pool.size();
+  EXPECT_GE(start, 1);
+  pool.EnsureSize(start + 2);
+  EXPECT_EQ(pool.size(), start + 2);
+  pool.EnsureSize(1);  // never shrinks
+  EXPECT_EQ(pool.size(), start + 2);
 
-  // Submitted tasks all run; ParallelFor over the shared pool alongside
-  // direct submissions must not interfere.
-  std::atomic<int> done{0};
+  // Submitted tasks all run; ParallelFor over the same pool alongside
+  // direct submissions must not interfere. The counter is shared with the
+  // tasks, so a task that outlives this scope never touches a dead stack.
+  auto done = std::make_shared<std::atomic<int>>(0);
   for (int i = 0; i < 20; ++i) {
-    pool.Submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
+    pool.Submit([done] { done->fetch_add(1, std::memory_order_relaxed); });
   }
   Status status =
       ParallelFor(100, 4, [&](size_t) { return Status::Ok(); });
   EXPECT_TRUE(status.ok());
-  // The pool destructor drains pending tasks before joining, so all 20
-  // submissions complete by the end of this scope; spin briefly first so
-  // the assertion does not rely on destructor ordering.
-  for (int spin = 0; spin < 10000 && done.load() < 20; ++spin) {
-    std::this_thread::yield();
+  for (int spin = 0; spin < 5000 && done->load() < 20; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(done.load(), 20);
+  EXPECT_EQ(done->load(), 20);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/evaluate.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "xmlstore/xml.h"
 
 namespace invarnetx::core {
 namespace {
@@ -303,6 +305,40 @@ TEST_F(PipelineTest, StoreRemembersItsConfiguration) {
   std::filesystem::remove_all(dir);
 }
 
+// Saves the trained pipeline, rewrites one attribute of its config.xml and
+// loads the store back into a fresh pipeline.
+Status LoadWithConfigAttr(const InvarNetX& trained, const std::string& attr,
+                          const std::string& value) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "invarnetx_bad_cfg_test")
+          .string();
+  std::filesystem::create_directories(dir);
+  INVARNETX_RETURN_IF_ERROR(trained.SaveToDirectory(dir));
+  Result<xmlstore::XmlNode> config = xmlstore::ReadXmlFile(dir + "/config.xml");
+  if (!config.ok()) return config.status();
+  config.value().SetAttr(attr, value);
+  INVARNETX_RETURN_IF_ERROR(
+      xmlstore::WriteXmlFile(dir + "/config.xml", config.value()));
+  InvarNetX reloaded;
+  const Status loaded = reloaded.LoadFromDirectory(dir);
+  std::filesystem::remove_all(dir);
+  return loaded;
+}
+
+TEST_F(PipelineTest, NonNumericStoreConfigIsCorruption) {
+  const Status loaded = LoadWithConfigAttr(*pipeline_, "tau", "abc");
+  EXPECT_EQ(loaded.code(), StatusCode::kCorruption) << loaded.ToString();
+  EXPECT_NE(loaded.message().find("tau"), std::string::npos)
+      << loaded.ToString();
+}
+
+TEST_F(PipelineTest, UnknownStoreEngineIsCorruption) {
+  const Status loaded = LoadWithConfigAttr(*pipeline_, "engine", "mik");
+  EXPECT_EQ(loaded.code(), StatusCode::kCorruption) << loaded.ToString();
+  EXPECT_NE(loaded.message().find("engine"), std::string::npos)
+      << loaded.ToString();
+}
+
 TEST_F(PipelineTest, LoadFromMissingDirectoryFails) {
   InvarNetX fresh;
   EXPECT_FALSE(fresh.LoadFromDirectory("/nonexistent/invarnetx").ok());
@@ -389,6 +425,37 @@ TEST(EvaluateTest, SmallCampaignProducesSaneNumbers) {
     EXPECT_EQ(o.true_positives + o.false_negatives,
               config.test_runs_per_fault);
   }
+}
+
+// The test runs fan out over the shared pool; the tallies must not depend
+// on how many workers ran them.
+TEST(EvaluateTest, TalliesDoNotDependOnThreadCount) {
+  EvalConfig config;
+  config.normal_runs = 4;
+  config.test_runs_per_fault = 3;
+  config.faults = {faults::FaultType::kCpuHog, faults::FaultType::kMemHog,
+                   faults::FaultType::kSuspend};
+  std::vector<EvalResult> results;
+  for (int threads : {1, 4}) {
+    config.pipeline.num_threads = threads;
+    Result<EvalResult> result = RunEvaluation(config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results.push_back(std::move(result.value()));
+  }
+  const EvalResult& serial = results[0];
+  const EvalResult& pooled = results[1];
+  ASSERT_EQ(serial.per_fault.size(), pooled.per_fault.size());
+  for (size_t f = 0; f < serial.per_fault.size(); ++f) {
+    const FaultOutcome& a = serial.per_fault[f];
+    const FaultOutcome& b = pooled.per_fault[f];
+    EXPECT_EQ(a.fault, b.fault);
+    EXPECT_EQ(a.true_positives, b.true_positives);
+    EXPECT_EQ(a.false_positives, b.false_positives);
+    EXPECT_EQ(a.false_negatives, b.false_negatives);
+    EXPECT_EQ(a.undetected, b.undetected);
+    EXPECT_EQ(a.unknown, b.unknown);
+  }
+  EXPECT_EQ(serial.confusion, pooled.confusion);
 }
 
 }  // namespace

@@ -552,33 +552,6 @@ TEST_F(MonitorFleetTest, UnknownHandleIsANotFoundNamingIt) {
   EXPECT_EQ(fleet.View(handle.value())->ticks_observed, 1);
 }
 
-TEST_F(MonitorFleetTest, StatusCacheCapsRowsAtTopKInterestingMonitors) {
-  FleetConfig config;
-  config.status_top_k = 1;
-  MonitorFleet fleet(pipeline_, config);
-  ASSERT_TRUE(fleet.StartJob(Context(1)).ok());
-  ASSERT_TRUE(fleet.StartJob(Context(2)).ok());
-
-  // Quiet fleet with more monitors than top-k: no per-monitor rows at all
-  // (nothing is interesting), flagged truncated.
-  const serve::FleetStatus quiet = fleet.Snapshot();
-  EXPECT_EQ(quiet.monitors_total, 2u);
-  EXPECT_TRUE(quiet.monitors.empty());
-  EXPECT_TRUE(quiet.monitors_listed_truncated);
-
-  // After the fault the alarmed monitor is interesting and surfaces.
-  auto faulty = core::SimulateFaultRun(WorkloadType::kWordCount,
-                                       faults::FaultType::kCpuHog, 888);
-  ASSERT_TRUE(faulty.ok());
-  Stream(&fleet, faulty.value());
-  fleet.WaitForDiagnoses();
-  const serve::FleetStatus alarmed = fleet.Snapshot();
-  ASSERT_EQ(alarmed.monitors.size(), 1u);
-  EXPECT_EQ(alarmed.monitors[0].context, Context(1).ToString());
-  EXPECT_TRUE(alarmed.monitors[0].alarm_active);
-  EXPECT_TRUE(alarmed.monitors_listed_truncated);
-}
-
 TEST_F(MonitorFleetTest, ResidualsAndAlarmTicksMatchAnomalyDetectorScan) {
   // The fleet and core::AnomalyDetector share one detection step; on the
   // same CPI stream they must agree on every residual bit and on the alarm
@@ -777,7 +750,7 @@ TEST_F(PooledFleetTest, IngestTickAllocationsDoNotGrowWithBatchSize) {
   // offers the slow-span sampler enough ticks to fill its stage: from then
   // on a slow tick replaces a kept span in place.
   size_t t = 0;
-  for (; t < obs::SlowSpanSampler::kDefaultPerStage / 2; ++t) {
+  for (; t < obs::SlowSpanSampler::kPerStage / 2; ++t) {
     fill(t);
     ASSERT_TRUE(fleet.IngestTick(full).ok());
     ASSERT_TRUE(fleet.IngestTick(pair).ok());
@@ -868,28 +841,56 @@ TEST_F(PooledFleetTest, DiagnosedWindowsEqualTheObservedSamples) {
   }
 }
 
+TEST_F(PooledFleetTest, StatusCacheCapsRowsAtTopKInterestingMonitors) {
+  constexpr int kMonitors = static_cast<int>(serve::kStatusTopK) + 1;
+  FleetConfig config;
+  config.diagnose_on_alarm = false;
+  MonitorFleet fleet(pipeline_, config);
+  for (int i = 0; i < kMonitors; ++i) {
+    ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
+  }
+
+  // Quiet fleet with more monitors than top-k: no per-monitor rows at all
+  // (nothing is interesting), flagged truncated.
+  const serve::FleetStatus quiet = fleet.Snapshot();
+  EXPECT_EQ(quiet.monitors_total, static_cast<size_t>(kMonitors));
+  EXPECT_TRUE(quiet.monitors.empty());
+  EXPECT_TRUE(quiet.monitors_listed_truncated);
+
+  // Once its alarm latches, the monitor is interesting and surfaces.
+  LatchAlarm(fleet, 1);
+  const serve::FleetStatus alarmed = fleet.Snapshot();
+  ASSERT_EQ(alarmed.monitors.size(), 1u);
+  EXPECT_EQ(alarmed.monitors[0].context, Context(1).ToString());
+  EXPECT_TRUE(alarmed.monitors[0].alarm_active);
+  EXPECT_TRUE(alarmed.monitors_listed_truncated);
+}
+
 // The /statusz rows the ordered interesting-monitor index yields equal a
 // full scan over every handle (alarm latched or window overflowed this job,
-// first status_top_k in handle order), through random re-arms, alarms and
-// overflows.
+// first kStatusTopK in handle order), through random re-arms, alarms and
+// overflows. The fleet is large enough that more than kStatusTopK monitors
+// become interesting, so the cap is exercised.
 TEST_F(PooledFleetTest, StatusRowsMatchAFullScan) {
-  constexpr int kMonitors = 40;
+  constexpr int kMonitors = 160;
   FleetConfig config;
-  config.status_top_k = 5;
   config.window_capacity = 8;
   config.diagnose_on_alarm = false;
   MonitorFleet fleet(pipeline_, config);
   for (int i = 0; i < kMonitors; ++i) {
     ASSERT_TRUE(fleet.StartJob(Context(i)).ok());
   }
+  size_t most_interesting = 0;
   auto expect_rows_match_scan = [&](int step) {
     std::vector<serve::MonitorStatus> expected;
+    size_t interesting = 0;
     for (int h = 0; h < kMonitors; ++h) {
       const serve::MonitorView view = *fleet.View(serve::MonitorHandle{h});
       const bool overflowed =
           view.ticks_observed > static_cast<int64_t>(view.window_capacity);
       if (!view.alarm_active && !overflowed) continue;
-      if (expected.size() == config.status_top_k) break;
+      ++interesting;
+      if (expected.size() == serve::kStatusTopK) continue;
       serve::MonitorStatus row;
       row.context = view.context.ToString();
       row.shard = view.shard;
@@ -900,6 +901,7 @@ TEST_F(PooledFleetTest, StatusRowsMatchAFullScan) {
       row.window_ticks = view.window_ticks;
       expected.push_back(row);
     }
+    most_interesting = std::max(most_interesting, interesting);
     const serve::FleetStatus status = fleet.Snapshot();
     ASSERT_EQ(status.monitors.size(), expected.size()) << "step " << step;
     for (size_t r = 0; r < expected.size(); ++r) {
@@ -940,6 +942,7 @@ TEST_F(PooledFleetTest, StatusRowsMatchAFullScan) {
     expect_rows_match_scan(step);
   }
   EXPECT_GT(fleet.alarms_active(), 0u);
+  EXPECT_GT(most_interesting, serve::kStatusTopK);
 }
 
 // Re-arming a fleet while one alarm is latched costs about what a quiet

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -174,33 +175,9 @@ TEST(CollectorTest, MetricNoiseSlotInjectsJitter) {
     for (int i = 0; i < 200; ++i) {
       samples.push_back(ObserveMetrics(node, &rng)[kCpuUserPct]);
     }
-    return SampleStdDev(samples);
+    return std::sqrt(Variance(samples));
   };
   EXPECT_GT(spread(0.4), spread(0.0) * 3.0);
-}
-
-// ------------------------------------------------------------------ trace --
-
-TEST(TraceTest, SeriesBoundsChecked) {
-  RunTrace trace;
-  trace.nodes.resize(2);
-  EXPECT_FALSE(trace.Series(5, 0).ok());
-  EXPECT_FALSE(trace.Series(0, -1).ok());
-  EXPECT_FALSE(trace.Series(0, kNumMetrics).ok());
-  EXPECT_TRUE(trace.Series(1, 0).ok());
-}
-
-TEST(TraceTest, MeanSlaveCpiAveragesSlavesOnly) {
-  RunTrace trace;
-  trace.ticks = 2;
-  trace.nodes.resize(3);
-  trace.nodes[0].cpi = {9.0, 9.0};  // master: excluded
-  trace.nodes[1].cpi = {1.0, 2.0};
-  trace.nodes[2].cpi = {3.0, 4.0};
-  const std::vector<double> mean = trace.MeanSlaveCpi();
-  ASSERT_EQ(mean.size(), 2u);
-  EXPECT_DOUBLE_EQ(mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(mean[1], 3.0);
 }
 
 // ----------------------------------------------------------------- runner --

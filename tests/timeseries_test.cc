@@ -126,30 +126,6 @@ TEST(AcfTest, ConstantSeriesZeroBeyondLag0) {
   EXPECT_DOUBLE_EQ(acf.value()[1], 0.0);
 }
 
-TEST(PacfTest, Ar1CutsOffAfterLag1) {
-  std::vector<double> series = MakeAr1(0.6, 0.0, 1.0, 20000, 23);
-  Result<std::vector<double>> pacf = Pacf(series, 4);
-  ASSERT_TRUE(pacf.ok());
-  EXPECT_NEAR(pacf.value()[0], 0.6, 0.05);
-  for (size_t lag = 1; lag < 4; ++lag) {
-    EXPECT_NEAR(pacf.value()[lag], 0.0, 0.05);
-  }
-}
-
-TEST(YuleWalkerTest, RecoversAr2) {
-  // x_t = 0.5 x_{t-1} + 0.3 x_{t-2} + eps
-  Rng rng(24);
-  std::vector<double> x = {0.0, 0.0};
-  for (int i = 0; i < 30000; ++i) {
-    x.push_back(0.5 * x[x.size() - 1] + 0.3 * x[x.size() - 2] +
-                rng.Gaussian(0, 1));
-  }
-  Result<std::vector<double>> phi = YuleWalker(x, 2);
-  ASSERT_TRUE(phi.ok());
-  EXPECT_NEAR(phi.value()[0], 0.5, 0.05);
-  EXPECT_NEAR(phi.value()[1], 0.3, 0.05);
-}
-
 // ----------------------------------------------------------------- arima --
 
 TEST(ArimaTest, FitRecoversAr1Coefficient) {

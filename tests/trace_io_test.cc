@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "telemetry/collectl_import.h"
 #include "telemetry/runner.h"
 #include "telemetry/trace_io.h"
 
@@ -109,83 +108,6 @@ TEST(TraceIoTest, MissingFileIsIoError) {
   Result<RunTrace> trace = ReadTraceFile("/does/not/exist.csv");
   EXPECT_FALSE(trace.ok());
   EXPECT_EQ(trace.status().code(), StatusCode::kIoError);
-}
-
-// ------------------------------------------------------ collectl import --
-
-constexpr const char* kCollectlSample =
-    "################################################################\n"
-    "# Collectl: V4.0.2 ...\n"
-    "#Date Time [CPU]User% [CPU]Sys% [CPU]Wait% [CPU]Idle% [CPU]Ctx "
-    "[CPU]Intrpt [MEM]Used [MEM]Free [MEM]Cached [MEM]SwapUsed "
-    "[DSK]ReadKBTot [DSK]WriteKBTot [NET]RxKBTot [NET]TxKBTot "
-    "[TCP]Retrans\n"
-    "20140601 00:00:10 45.0 6.0 2.0 47.0 21000 1800 6100 4200 5900 0 "
-    "52000 11000 24000 23000 0\n"
-    "20140601 00:00:20 47.5 5.5 2.5 44.5 22500 1850 6150 4180 5870 0 "
-    "54100 11300 24400 23300 1\n"
-    "20140601 00:00:30 44.1 6.2 1.8 47.9 20800 1790 6120 4210 5880 0 "
-    "51800 10900 23900 23100 0\n";
-
-TEST(CollectlImportTest, MapsKnownColumns) {
-  Result<CollectlImportResult> imported =
-      ImportCollectlPlot(kCollectlSample, "10.0.0.2", {1.0, 1.1, 1.05});
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
-  const NodeTrace& node = imported.value().node;
-  EXPECT_EQ(node.ip, "10.0.0.2");
-  ASSERT_EQ(node.cpi.size(), 3u);
-  EXPECT_DOUBLE_EQ(node.metrics[kCpuUserPct][0], 45.0);
-  EXPECT_DOUBLE_EQ(node.metrics[kCpuUserPct][1], 47.5);
-  EXPECT_DOUBLE_EQ(node.metrics[kCtxSwitchesPerSec][2], 20800.0);
-  EXPECT_DOUBLE_EQ(node.metrics[kDiskReadKbps][1], 54100.0);
-  EXPECT_DOUBLE_EQ(node.metrics[kTcpRetransPerSec][1], 1.0);
-}
-
-TEST(CollectlImportTest, ReportsMissingMetrics) {
-  Result<CollectlImportResult> imported =
-      ImportCollectlPlot(kCollectlSample, "10.0.0.2", {});
-  ASSERT_TRUE(imported.ok());
-  const auto& missing = imported.value().missing_metrics;
-  // The sample lacks load, procs, page, iops, util, pkt and threads
-  // columns plus the perf CPI series.
-  auto has = [&missing](const std::string& name) {
-    for (const std::string& m : missing) {
-      if (m == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("load_avg_1m"));
-  EXPECT_TRUE(has("proc_threads"));
-  EXPECT_TRUE(has("cpi"));
-  EXPECT_FALSE(has("cpu_user_pct"));
-  // Missing sources are zero-filled, and CPI defaults to 1.0.
-  EXPECT_DOUBLE_EQ(imported.value().node.metrics[kLoadAvg1m][0], 0.0);
-  EXPECT_DOUBLE_EQ(imported.value().node.cpi[0], 1.0);
-}
-
-TEST(CollectlImportTest, ValidatesStructure) {
-  EXPECT_FALSE(ImportCollectlPlot("", "ip", {}).ok());
-  EXPECT_FALSE(ImportCollectlPlot("no header\n1 2 3\n", "ip", {}).ok());
-  // Header but no rows.
-  EXPECT_FALSE(
-      ImportCollectlPlot("#Date Time [CPU]User%\n", "ip", {}).ok());
-  // Row width mismatch.
-  EXPECT_FALSE(ImportCollectlPlot(
-                   "#Date Time [CPU]User%\n20140601 00:00:10\n", "ip", {})
-                   .ok());
-  // CPI length mismatch.
-  EXPECT_FALSE(ImportCollectlPlot(
-                   "#Date Time [CPU]User%\n20140601 00:00:10 45.0\n", "ip",
-                   {1.0, 2.0})
-                   .ok());
-}
-
-TEST(CollectlImportTest, ColumnTableCoversMostOfTheCatalog) {
-  int covered = 0;
-  for (int m = 0; m < kNumMetrics; ++m) {
-    if (!CollectlColumnFor(m).empty()) ++covered;
-  }
-  EXPECT_EQ(covered, kNumMetrics - 1);  // all but proc_threads
 }
 
 }  // namespace
